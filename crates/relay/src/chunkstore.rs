@@ -69,6 +69,17 @@ impl DedupPlan {
     pub fn miss_chunks(&self) -> u64 {
         self.total_chunks - self.hit_chunks
     }
+
+    /// Forward-leg bytes when the sender may ship either an rsync delta of
+    /// `delta_bytes` or this plan: whichever is cheaper, the delta on a tie.
+    /// Every sync leg prices its forward flow through this one rule.
+    pub fn shipped_bytes(&self, delta_bytes: u64) -> u64 {
+        if self.wire_bytes < delta_bytes {
+            self.wire_bytes
+        } else {
+            delta_bytes
+        }
+    }
 }
 
 /// Capacity-bounded content-addressed chunk cache with FIFO eviction.
@@ -320,6 +331,20 @@ mod tests {
         let mut d = a.clone();
         d.plan(&m1);
         assert_ne!(a.digest(), d.digest());
+    }
+
+    #[test]
+    fn shipped_bytes_picks_the_cheaper_leg_delta_on_tie() {
+        let mut s = ChunkStore::new(1 << 20);
+        let m = manifest(1, 4 * CS);
+        s.admit(&m);
+        let p = s.plan(&m);
+        // Dedup plan cheaper: it ships.
+        assert_eq!(p.shipped_bytes(p.wire_bytes + 1), p.wire_bytes);
+        // Dedup plan dearer: the delta ships.
+        assert_eq!(p.shipped_bytes(p.wire_bytes - 1), p.wire_bytes - 1);
+        // Equal: the delta ships, so a tie never counts as a saving.
+        assert_eq!(p.shipped_bytes(p.wire_bytes), p.wire_bytes);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! The ablation benchmark `ablation-pipeline` compares the two modes on the
 //! paper's winning detours.
 
-use crate::chunkstore::ChunkStore;
 use crate::report::RelayReport;
 use cloudstore::faults::FaultOutcome;
 use cloudstore::resilience::{RetryPolicy, RetryState};
@@ -20,9 +19,6 @@ use netsim::flow::{FlowClass, FlowSpec};
 use netsim::rpc::{Rpc, RpcSpec};
 use netsim::time::SimTime;
 use netsim::topology::NodeId;
-use std::cell::RefCell;
-use std::rc::Rc;
-use transfer::ChunkManifest;
 
 /// Default relay chunk: big enough to amortize round trips, small enough to
 /// overlap well.
@@ -46,13 +42,6 @@ pub struct PipelinedRelay {
     upload_class: FlowClass,
 
     chunks: Vec<u64>,
-    /// Send-lane (user → DTN) bytes per chunk. Equal to `chunks` unless a
-    /// chunk cache shrank the forward leg, in which case the deduplicated
-    /// wire bytes are spread over the same chunk count so the cut-through
-    /// coupling (chunk received → part uploadable) is preserved.
-    send_chunks: Vec<u64>,
-    /// DTN-side chunk cache plus the manifest of this relay's content.
-    cache: Option<(Rc<RefCell<ChunkStore>>, ChunkManifest)>,
     /// Maximum chunks the DTN may hold that are received but not yet
     /// uploaded (its staging buffer). `u32::MAX` = unbounded.
     max_buffered: u32,
@@ -129,8 +118,6 @@ impl PipelinedRelay {
             upload_class,
             max_buffered: u32::MAX,
             chunks: Vec::new(),
-            send_chunks: Vec::new(),
-            cache: None,
             sent: 0,
             received: 0,
             uploaded: 0,
@@ -163,15 +150,6 @@ impl PipelinedRelay {
         self
     }
 
-    /// Consult the DTN's content-addressed chunk store: the send lane ships
-    /// only the manifest plus missing chunks (spread over the same chunk
-    /// count), while the upload lane still carries the full content. Chunks
-    /// are admitted once the relay completes.
-    pub fn with_chunk_cache(mut self, store: Rc<RefCell<ChunkStore>>, m: ChunkManifest) -> Self {
-        self.cache = Some((store, m));
-        self
-    }
-
     fn split(&self) -> Vec<u64> {
         let mut parts = Vec::new();
         let mut left = self.bytes;
@@ -193,18 +171,6 @@ impl PipelinedRelay {
         self
     }
 
-    /// Spread `wire` bytes over `n` send-lane chunks (remainder on the
-    /// last), at least one byte each so every flow exists.
-    fn spread(wire: u64, n: usize) -> Vec<u64> {
-        let n64 = n as u64;
-        let base = (wire / n64).max(1);
-        let mut parts = vec![base; n];
-        if wire > base * n64 {
-            parts[n - 1] += wire - base * n64;
-        }
-        parts
-    }
-
     fn send_next(&mut self, ctx: &mut Ctx<'_>) {
         if self.send_in_flight || self.sent >= self.chunks.len() {
             return;
@@ -217,7 +183,7 @@ impl PipelinedRelay {
         let mut spec = FlowSpec::new(
             self.user,
             self.dtn,
-            self.send_chunks[self.sent] + 64,
+            self.chunks[self.sent] + 64,
             self.send_class,
         );
         if !self.first_send {
@@ -294,10 +260,6 @@ impl PipelinedRelay {
     }
 
     fn report(&mut self, ctx: &mut Ctx<'_>) {
-        // Everything arrived and uploaded: the DTN keeps the chunks.
-        if let Some((store, manifest)) = &self.cache {
-            store.borrow_mut().admit(manifest);
-        }
         let total = ctx.now().saturating_sub(self.started);
         let report = RelayReport {
             bytes: self.bytes,
@@ -330,25 +292,6 @@ impl Process for PipelinedRelay {
                     ctx.finish(Value::Error(NetError::EmptyTransfer));
                     return;
                 }
-                self.send_chunks = match &self.cache {
-                    None => self.chunks.clone(),
-                    Some((store, manifest)) => {
-                        let dedup = store.borrow_mut().plan(manifest);
-                        ctx.telemetry()
-                            .counter_add("relay.chunk.hits", dedup.hit_chunks);
-                        ctx.telemetry()
-                            .counter_add("relay.chunk.misses", dedup.miss_chunks());
-                        if dedup.wire_bytes < self.bytes {
-                            ctx.telemetry().counter_add(
-                                "relay.chunk.saved_bytes",
-                                self.bytes - dedup.wire_bytes,
-                            );
-                            Self::spread(dedup.wire_bytes, self.chunks.len())
-                        } else {
-                            self.chunks.clone()
-                        }
-                    }
-                };
                 // Leg-1 handshake and leg-2 session init run concurrently.
                 let hs = RpcSpec::control(self.user, self.dtn, self.send_class)
                     .with_payload(512, 256)
@@ -568,47 +511,6 @@ mod tests {
         // And even W=1 pipelining interleaves better than full
         // store-and-forward would (~25 s here).
         assert!(w1 < SimTime::from_secs(27), "W=1 total {w1}");
-    }
-
-    #[test]
-    fn chunk_cache_shrinks_send_lane_only() {
-        use crate::chunkstore::ChunkStore;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        use transfer::{ChunkManifest, FileGen, DEFAULT_CHUNK_SIZE};
-
-        let data = FileGen::new(33).random_file(10 * MB as usize);
-        let manifest = ChunkManifest::of(&data, DEFAULT_CHUNK_SIZE);
-        let store = Rc::new(RefCell::new(ChunkStore::new(64 * MB)));
-        let run = || {
-            let (mut sim, user, dtn, provider) = topo();
-            let relay = PipelinedRelay::with_chunk(
-                user,
-                dtn,
-                provider,
-                10 * MB,
-                FlowClass::Research,
-                FlowClass::Research,
-                MB,
-            )
-            .with_chunk_cache(Rc::clone(&store), manifest.clone());
-            let v = sim.run_process(Box::new(relay)).unwrap();
-            RelayReport::from_value(&v)
-        };
-        let cold = run();
-        let warm = run();
-        assert!(
-            warm.total < cold.total,
-            "warm {} vs cold {}",
-            warm.total,
-            cold.total
-        );
-        // The upload lane always ships the full content to the provider.
-        assert_eq!(warm.upload.wire_bytes, cold.upload.wire_bytes);
-        assert_eq!(
-            store.borrow().stats().admitted,
-            manifest.chunk_count() as u64
-        );
     }
 
     #[test]

@@ -133,19 +133,17 @@ impl RsyncLeg {
             None => self.plan.delta_bytes,
             Some((store, manifest)) => {
                 let dedup = store.borrow_mut().plan(manifest);
+                let shipped = dedup.shipped_bytes(self.plan.delta_bytes);
+                let saved = self.plan.delta_bytes - shipped;
                 ctx.telemetry()
                     .counter_add("relay.chunk.hits", dedup.hit_chunks);
                 ctx.telemetry()
                     .counter_add("relay.chunk.misses", dedup.miss_chunks());
-                if dedup.wire_bytes < self.plan.delta_bytes {
-                    ctx.telemetry().counter_add(
-                        "relay.chunk.saved_bytes",
-                        self.plan.delta_bytes - dedup.wire_bytes,
-                    );
-                    dedup.wire_bytes
-                } else {
-                    self.plan.delta_bytes
+                if saved > 0 {
+                    ctx.telemetry()
+                        .counter_add("relay.chunk.saved_bytes", saved);
                 }
+                shipped
             }
         };
         self.deduped_delta_bytes = Some(bytes);

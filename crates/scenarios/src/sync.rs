@@ -361,7 +361,7 @@ pub fn run_sync_study(world: &NorthAmerica, cfg: SyncStudyConfig) -> SyncStudyRe
             // Arm 3: delta-sync detour. Preview the dedup price on a clone
             // so the shared store's counters reflect the real legs only.
             let dedup = store.borrow().clone().plan(&manifest);
-            let shipped = plan.delta_bytes.min(dedup.wire_bytes);
+            let shipped = dedup.shipped_bytes(plan.delta_bytes);
             let hop = world.hop_ualberta();
             let mut sim = world.build_sim(seed);
             let synced = detour_upload_sync(

@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use transfer::chunk::ChunkManifest;
-use transfer::delta::compute_delta;
+use transfer::delta::{compute_delta, Delta};
 use transfer::patch::apply_delta;
 use transfer::signature::Signature;
 use transfer::syncpop::{MutationMix, SyncPopulation, SyncPopulationConfig};
@@ -419,8 +419,9 @@ struct SyncSession {
     /// 0 = initial replication, then one mutation round per pass.
     pass: u32,
     file_idx: usize,
-    /// Client content in flight (installed when the flow completes).
-    pending: Option<Vec<u8>>,
+    /// Client content in flight (installed when the flow completes) and
+    /// its delta against the relay's copy, computed once in `kick`.
+    pending: Option<(Vec<u8>, Delta)>,
     /// Manifest to admit to the store once the bytes arrive.
     pending_manifest: Option<ChunkManifest>,
 }
@@ -442,17 +443,18 @@ impl SyncSession {
         }
         let f = self.file_idx;
         let local = self.pop.file(f).to_vec();
-        let plan = RsyncWirePlan::exact(&self.remote[f], &local, SYNC_BLOCK_SIZE);
-        let mut wire = plan.total_bytes();
+        let sig = Signature::compute(&self.remote[f], SYNC_BLOCK_SIZE);
+        let delta = compute_delta(&sig, &local);
+        let plan = RsyncWirePlan::from_parts(&sig, &delta);
+        let mut shipped = plan.delta_bytes;
         if let Some(store) = &self.store {
             let manifest = ChunkManifest::of(&local, SYNC_CHUNK_SIZE);
             let dedup = store.borrow_mut().plan(&manifest);
-            if dedup.wire_bytes < plan.delta_bytes {
-                wire = wire - plan.delta_bytes + dedup.wire_bytes;
-            }
+            shipped = dedup.shipped_bytes(plan.delta_bytes);
             self.pending_manifest = Some(manifest);
         }
-        self.pending = Some(local);
+        let wire = plan.total_bytes() - plan.delta_bytes + shipped;
+        self.pending = Some((local, delta));
         let spec = FlowSpec::new(self.client, self.relay, wire.max(1), FlowClass::Commodity);
         if ctx.start_flow(spec).is_err() {
             self.oracle.push(Violation::EngineError {
@@ -462,16 +464,15 @@ impl SyncSession {
         }
     }
 
-    /// A leg landed: run the real signature/delta/patch pipeline against
-    /// the relay's basis and verify it reconstructs the client's bytes.
+    /// A leg landed: patch the relay's basis with the delta `kick` computed
+    /// (the basis only changes here, so the delta still applies) and verify
+    /// it reconstructs the client's bytes.
     fn land(&mut self, ctx: &mut Ctx<'_>) {
-        let local = self
-            .pending
-            .take()
-            .expect("flow landed without a pending sync leg");
+        let (local, delta) = self.pending.take().expect(
+            "land runs only on the FlowCompleted of the single flow kick started, \
+             and kick sets pending before start_flow",
+        );
         let f = self.file_idx;
-        let sig = Signature::compute(&self.remote[f], SYNC_BLOCK_SIZE);
-        let delta = compute_delta(&sig, &local);
         let ok = matches!(
             apply_delta(&self.remote[f], SYNC_BLOCK_SIZE, &delta), Ok(p) if p == local
         );
@@ -514,7 +515,7 @@ impl Process for SyncSession {
         d.write_u64(self.pass as u64);
         d.write_u64(self.file_idx as u64);
         d.write_u64(self.remote.iter().map(|f| f.len() as u64).sum());
-        d.write_u64(self.pending.as_ref().map_or(0, |p| p.len() as u64));
+        d.write_u64(self.pending.as_ref().map_or(0, |(p, _)| p.len() as u64));
     }
 }
 

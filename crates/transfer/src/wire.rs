@@ -11,7 +11,7 @@
 //!   provided as the baseline alternative the paper mentions ("rsync ... can
 //!   be replaced with a different file-transfer tool").
 
-use crate::delta::compute_delta;
+use crate::delta::{compute_delta, Delta};
 use crate::signature::Signature;
 
 /// rsync protocol constants (framing approximations).
@@ -36,7 +36,12 @@ impl RsyncWirePlan {
     /// signature + delta algorithms and counts bytes.
     pub fn exact(basis: &[u8], target: &[u8], block_size: usize) -> Self {
         let sig = Signature::compute(basis, block_size);
-        let delta = compute_delta(&sig, target);
+        Self::from_parts(&sig, &compute_delta(&sig, target))
+    }
+
+    /// Plan for a signature and delta the caller already computed, so a
+    /// caller that also applies the delta runs rsync only once.
+    pub fn from_parts(sig: &Signature, delta: &Delta) -> Self {
         RsyncWirePlan {
             handshake_bytes: HANDSHAKE_BYTES,
             signature_bytes: sig.wire_bytes(),

@@ -156,6 +156,7 @@ proptest! {
         let plan = RsyncWirePlan::exact(&[], &target, block_size);
         prop_assert!(plan.delta_bytes >= delta.literal_bytes());
         prop_assert_eq!(plan, RsyncWirePlan::fresh(len as u64));
+        prop_assert_eq!(RsyncWirePlan::from_parts(&sig, &delta), plan);
     }
 
     /// Arbitrary mutation histories (edit/append/rewrite/truncate/churn
@@ -179,6 +180,7 @@ proptest! {
             prop_assert_eq!(Md5::digest(&rebuilt), delta.target_md5);
             prop_assert_eq!(&rebuilt, &target);
             let plan = RsyncWirePlan::exact(&basis, &target, block_size);
+            prop_assert_eq!(RsyncWirePlan::from_parts(&sig, &delta), plan);
             prop_assert_eq!(plan.delta_bytes, expected_delta_wire_bytes(&delta.ops));
             prop_assert_eq!(plan.signature_bytes, 32 + sig.block_count() as u64 * 24);
             prop_assert_eq!(
