@@ -72,47 +72,42 @@ impl Delta {
 pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
     let bs = sig.block_size;
     let mut ops: Vec<DeltaOp> = Vec::new();
-    let mut literal: Vec<u8> = Vec::new();
+    // Unmatched bytes always form one contiguous run of the target,
+    // `target[literal_start..pos]`; it is copied out only when a copy op or
+    // the end of the target closes it.
+    let mut literal_start = 0usize;
     let mut pos = 0usize;
 
-    let flush = |literal: &mut Vec<u8>, ops: &mut Vec<DeltaOp>| {
-        if !literal.is_empty() {
-            ops.push(DeltaOp::Literal(std::mem::take(literal)));
+    let flush = |run: &[u8], ops: &mut Vec<DeltaOp>| {
+        if !run.is_empty() {
+            ops.push(DeltaOp::Literal(run.to_vec()));
         }
     };
 
     if sig.block_count() > 0 {
-        let mut rc: Option<RollingChecksum> = None;
+        // Invariant: whenever a full window fits at `pos`, `rc` is the
+        // rolling state of `target[pos..pos + bs]`. A miss rolls it one byte;
+        // a copy jumps a whole block and recomputes it at the new start.
+        let mut rc = RollingChecksum::from_window(&target[..bs.min(target.len())]);
         while pos + bs <= target.len() {
             let window = &target[pos..pos + bs];
-            let checksum = match rc {
-                Some(ref r) => r.value(),
-                None => {
-                    let r = RollingChecksum::from_window(window);
-                    let v = r.value();
-                    rc = Some(r);
-                    v
-                }
-            };
-            if let Some(idx) = sig.find_match(checksum, window) {
-                flush(&mut literal, &mut ops);
+            if let Some(idx) = sig.find_match(rc.value(), window) {
+                flush(&target[literal_start..pos], &mut ops);
                 ops.push(DeltaOp::Copy { index: idx });
                 pos += bs;
-                rc = None; // window recomputed at the new position
+                literal_start = pos;
+                if pos + bs <= target.len() {
+                    rc = RollingChecksum::from_window(&target[pos..pos + bs]);
+                }
             } else {
-                literal.push(target[pos]);
                 if pos + bs < target.len() {
-                    rc.as_mut()
-                        .expect("rolling state exists while sliding")
-                        .roll(target[pos], target[pos + bs]);
-                } else {
-                    rc = None;
+                    rc.roll(target[pos], target[pos + bs]);
                 }
                 pos += 1;
             }
         }
         // Tail shorter than one block: try to match the basis's short final
-        // block exactly, otherwise emit literally.
+        // block exactly, otherwise it stays in the literal run.
         let tail = &target[pos..];
         if !tail.is_empty() {
             let tail_match = sig
@@ -124,22 +119,16 @@ pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
                         && b.strong == crate::md5::Md5::digest(tail)
                 })
                 .map(|b| b.index);
-            match tail_match {
-                Some(idx) => {
-                    flush(&mut literal, &mut ops);
-                    ops.push(DeltaOp::Copy { index: idx });
-                }
-                None => literal.extend_from_slice(tail),
+            if let Some(idx) = tail_match {
+                flush(&target[literal_start..pos], &mut ops);
+                ops.push(DeltaOp::Copy { index: idx });
+                literal_start = target.len();
             }
-            pos = target.len();
         }
-    } else {
-        // Empty basis: everything is literal (the paper's benchmark case).
-        literal.extend_from_slice(target);
-        pos = target.len();
     }
-    debug_assert_eq!(pos, target.len());
-    flush(&mut literal, &mut ops);
+    // Whatever is left unmatched is literal; with an empty basis that is the
+    // whole target (the paper's benchmark case).
+    flush(&target[literal_start..], &mut ops);
 
     Delta {
         ops,

@@ -5,14 +5,6 @@
 //! security — here it only guards against rolling-checksum false positives,
 //! exactly as in rsync.
 
-/// Per-round shift amounts.
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-];
-
 /// Binary integer parts of the sines of integers: floor(2^32 * |sin(i+1)|).
 const K: [u32; 64] = [
     0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
@@ -92,77 +84,172 @@ impl Md5 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.process_block(&block);
-                self.buffered = 0;
-            } else {
+            if self.buffered < 64 {
                 // Data exhausted without filling the buffer; nothing more to
                 // process and the tail code below must not clobber it.
                 debug_assert!(data.is_empty());
                 return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.process_block(&b);
+        // Full blocks compress straight from the input, without a copy.
+        let (blocks, rem) = data.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        let rem = chunks.remainder();
         self.buffer[..rem.len()].copy_from_slice(rem);
         self.buffered = rem.len();
     }
 
     /// Finish and produce the 16-byte digest.
-    pub fn finalize(mut self) -> [u8; 16] {
+    pub fn finalize(self) -> [u8; 16] {
         let bit_len = self.length_bytes.wrapping_mul(8);
-        // Padding: 0x80 then zeros until length ≡ 56 (mod 64).
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        let mut state = self.state;
+        // Padding: 0x80, zeros until length ≡ 56 (mod 64), then the 64-bit
+        // little-endian bit length. A tail of 56 bytes or more leaves no room
+        // for the length, which then goes into a second, all-padding block.
+        let n = self.buffered;
+        let mut block = [0u8; 64];
+        block[..n].copy_from_slice(&self.buffer[..n]);
+        block[n] = 0x80;
+        if n >= 56 {
+            compress(&mut state, &block);
+            block = [0u8; 64];
         }
-        // Undo the length bookkeeping the padding incurred.
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        self.process_block(&block);
+        block[56..].copy_from_slice(&bit_len.to_le_bytes());
+        compress(&mut state, &block);
         let mut out = [0u8; 16];
-        for (i, word) in self.state.iter().enumerate() {
+        for (i, word) in state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
         }
         out
     }
+}
 
-    fn process_block(&mut self, block: &[u8; 64]) {
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            let sum = a.wrapping_add(f).wrapping_add(K[i]).wrapping_add(m[g]);
-            b = b.wrapping_add(sum.rotate_left(S[i]));
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+// The four auxiliary functions of RFC 1321 §3.4, in the usual forms that
+// shorten the dependency chain through `b`, the word the previous step just
+// wrote: `f` selects bits with one xor-and-xor instead of an or of two ands.
+#[inline(always)]
+fn f(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+#[inline(always)]
+fn g(b: u32, c: u32, d: u32) -> u32 {
+    // The two terms share no bits, so `|` is `+`; adding `c & !d` first
+    // keeps it off the dependency chain through `b`.
+    (c & !d).wrapping_add(d & b)
+}
+
+#[inline(always)]
+fn h(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn i(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (b | !d)
+}
+
+/// One MD5 step: `a = b + ((a + fun(b, c, d) + m + k) <<< s)`.
+macro_rules! step {
+    ($fun:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:expr, $k:expr, $s:literal) => {
+        $a = $b.wrapping_add(
+            $a.wrapping_add($fun($b, $c, $d))
+                .wrapping_add($m)
+                .wrapping_add($k)
+                .rotate_left($s),
+        );
+    };
+}
+
+/// The MD5 compression function over one 64-byte block, unrolled into the
+/// four rounds of 16 steps with constant message indices and shifts.
+#[inline]
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     }
+    let [mut a, mut b, mut c, mut d] = *state;
+
+    // Round 1: message words in order.
+    step!(f, a, b, c, d, m[0], K[0], 7);
+    step!(f, d, a, b, c, m[1], K[1], 12);
+    step!(f, c, d, a, b, m[2], K[2], 17);
+    step!(f, b, c, d, a, m[3], K[3], 22);
+    step!(f, a, b, c, d, m[4], K[4], 7);
+    step!(f, d, a, b, c, m[5], K[5], 12);
+    step!(f, c, d, a, b, m[6], K[6], 17);
+    step!(f, b, c, d, a, m[7], K[7], 22);
+    step!(f, a, b, c, d, m[8], K[8], 7);
+    step!(f, d, a, b, c, m[9], K[9], 12);
+    step!(f, c, d, a, b, m[10], K[10], 17);
+    step!(f, b, c, d, a, m[11], K[11], 22);
+    step!(f, a, b, c, d, m[12], K[12], 7);
+    step!(f, d, a, b, c, m[13], K[13], 12);
+    step!(f, c, d, a, b, m[14], K[14], 17);
+    step!(f, b, c, d, a, m[15], K[15], 22);
+
+    // Round 2: word (5i + 1) mod 16.
+    step!(g, a, b, c, d, m[1], K[16], 5);
+    step!(g, d, a, b, c, m[6], K[17], 9);
+    step!(g, c, d, a, b, m[11], K[18], 14);
+    step!(g, b, c, d, a, m[0], K[19], 20);
+    step!(g, a, b, c, d, m[5], K[20], 5);
+    step!(g, d, a, b, c, m[10], K[21], 9);
+    step!(g, c, d, a, b, m[15], K[22], 14);
+    step!(g, b, c, d, a, m[4], K[23], 20);
+    step!(g, a, b, c, d, m[9], K[24], 5);
+    step!(g, d, a, b, c, m[14], K[25], 9);
+    step!(g, c, d, a, b, m[3], K[26], 14);
+    step!(g, b, c, d, a, m[8], K[27], 20);
+    step!(g, a, b, c, d, m[13], K[28], 5);
+    step!(g, d, a, b, c, m[2], K[29], 9);
+    step!(g, c, d, a, b, m[7], K[30], 14);
+    step!(g, b, c, d, a, m[12], K[31], 20);
+
+    // Round 3: word (3i + 5) mod 16.
+    step!(h, a, b, c, d, m[5], K[32], 4);
+    step!(h, d, a, b, c, m[8], K[33], 11);
+    step!(h, c, d, a, b, m[11], K[34], 16);
+    step!(h, b, c, d, a, m[14], K[35], 23);
+    step!(h, a, b, c, d, m[1], K[36], 4);
+    step!(h, d, a, b, c, m[4], K[37], 11);
+    step!(h, c, d, a, b, m[7], K[38], 16);
+    step!(h, b, c, d, a, m[10], K[39], 23);
+    step!(h, a, b, c, d, m[13], K[40], 4);
+    step!(h, d, a, b, c, m[0], K[41], 11);
+    step!(h, c, d, a, b, m[3], K[42], 16);
+    step!(h, b, c, d, a, m[6], K[43], 23);
+    step!(h, a, b, c, d, m[9], K[44], 4);
+    step!(h, d, a, b, c, m[12], K[45], 11);
+    step!(h, c, d, a, b, m[15], K[46], 16);
+    step!(h, b, c, d, a, m[2], K[47], 23);
+
+    // Round 4: word 7i mod 16.
+    step!(i, a, b, c, d, m[0], K[48], 6);
+    step!(i, d, a, b, c, m[7], K[49], 10);
+    step!(i, c, d, a, b, m[14], K[50], 15);
+    step!(i, b, c, d, a, m[5], K[51], 21);
+    step!(i, a, b, c, d, m[12], K[52], 6);
+    step!(i, d, a, b, c, m[3], K[53], 10);
+    step!(i, c, d, a, b, m[10], K[54], 15);
+    step!(i, b, c, d, a, m[1], K[55], 21);
+    step!(i, a, b, c, d, m[8], K[56], 6);
+    step!(i, d, a, b, c, m[15], K[57], 10);
+    step!(i, c, d, a, b, m[6], K[58], 15);
+    step!(i, b, c, d, a, m[13], K[59], 21);
+    step!(i, a, b, c, d, m[4], K[60], 6);
+    step!(i, d, a, b, c, m[11], K[61], 10);
+    step!(i, c, d, a, b, m[2], K[62], 15);
+    step!(i, b, c, d, a, m[9], K[63], 21);
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
 }
 
 #[cfg(test)]
@@ -230,6 +317,35 @@ mod tests {
             ctx.update(&data[..len / 2]);
             ctx.update(&data[len / 2..]);
             assert_eq!(ctx.finalize(), d1, "length {len}");
+        }
+    }
+
+    /// Digests of `FileGen::new(11).random_file(n)` recorded with the
+    /// original rolled compression loop and byte-wise padding. They pin the
+    /// unrolled kernel and the one-shot padding to the same output across
+    /// every padding case (tail < 56, = 56, 56..64, block-aligned) and
+    /// multi-block inputs.
+    #[test]
+    fn golden_generated_files() {
+        use crate::filegen::FileGen;
+        let cases: &[(usize, &str)] = &[
+            (0, "d41d8cd98f00b204e9800998ecf8427e"),
+            (1, "0a476d83ef9cef4bce7f9025522be3b5"),
+            (55, "fd6e20f4ee7c5339b7f343e77cbe52de"),
+            (56, "53d8a3c59fe993f0dee373bb0aa82d08"),
+            (63, "43942f779ec7237b658b80385fd56ead"),
+            (64, "bdcdaf1887e53578e3898d0139dc9a79"),
+            (65, "ae4c24853d6b9bc1d470a2bf6d6033ed"),
+            (119, "3c4f83fa21033a106c55f18e315fae1c"),
+            (120, "3e42385201983164b1e58da51e0f19d0"),
+            (2047, "2574321600f5cc34e947f4cb98a6f4d2"),
+            (2048, "84f91312c479da386a584431ef3c4a7e"),
+            (8192, "e0c70a3e2c4004b8aff70c411880b05d"),
+            (1 << 20, "3fde27de61c3af869c5232ddfe357ba9"),
+        ];
+        let gen = FileGen::new(11);
+        for &(n, expected) in cases {
+            assert_eq!(Md5::hex_digest(&gen.random_file(n)), expected, "n = {n}");
         }
     }
 

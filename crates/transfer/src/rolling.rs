@@ -24,18 +24,21 @@ pub struct RollingChecksum {
 
 impl RollingChecksum {
     /// Compute the checksum of an initial window.
+    ///
+    /// Running sums, no multiply: `b` adds the running `a` after every
+    /// byte, so byte `i` of `l` is counted `l - i` times, its weight in
+    /// `b`. Both sums wrap mod 2^32, which keeps them exact mod 2^16.
     pub fn from_window(window: &[u8]) -> Self {
         let mut a: u32 = 0;
         let mut b: u32 = 0;
-        let l = window.len();
-        for (i, &x) in window.iter().enumerate() {
+        for &x in window {
             a = a.wrapping_add(x as u32);
-            b = b.wrapping_add(((l - i) as u32).wrapping_mul(x as u32));
+            b = b.wrapping_add(a);
         }
         RollingChecksum {
             a: a & 0xffff,
             b: b & 0xffff,
-            len: l,
+            len: window.len(),
         }
     }
 

@@ -13,6 +13,16 @@ use std::collections::HashMap;
 /// paper's workload).
 pub const DEFAULT_BLOCK_SIZE: usize = 2048;
 
+/// Words in the tag bitmap: one bit for each of the 2^16 tags.
+const TAG_WORDS: usize = (1 << 16) / 64;
+
+/// 16-bit tag of a rolling checksum: rsync's `gettag`, the sum of the two
+/// 16-bit halves mod 2^16.
+#[inline]
+fn tag(rolling: u32) -> usize {
+    ((rolling & 0xffff) + (rolling >> 16)) as usize & 0xffff
+}
+
 /// Signature of one basis block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSignature {
@@ -35,6 +45,10 @@ pub struct Signature {
     pub blocks: Vec<BlockSignature>,
     /// rolling checksum -> candidate block indices (collisions possible).
     index: HashMap<u32, Vec<u32>>,
+    /// Bit `t` is set iff some block's rolling checksum has tag `t`: the
+    /// 8 KiB filter (rsync's `tag_table`) that turns away most probes of an
+    /// unmatched window before they reach `index`.
+    tags: Box<[u64; TAG_WORDS]>,
 }
 
 impl Signature {
@@ -43,6 +57,7 @@ impl Signature {
         assert!(block_size > 0, "block size must be positive");
         let mut blocks = Vec::with_capacity(basis.len() / block_size + 1);
         let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut tags = Box::new([0u64; TAG_WORDS]);
         for (i, chunk) in basis.chunks(block_size).enumerate() {
             let rolling = rolling::checksum(chunk);
             let strong = Md5::digest(chunk);
@@ -53,11 +68,14 @@ impl Signature {
                 strong,
             });
             index.entry(rolling).or_default().push(i as u32);
+            let t = tag(rolling);
+            tags[t / 64] |= 1 << (t % 64);
         }
         Signature {
             block_size,
             blocks,
             index,
+            tags,
         }
     }
 
@@ -66,8 +84,21 @@ impl Signature {
         Self::compute(&[], block_size)
     }
 
-    /// Candidate blocks whose rolling checksum matches.
+    /// Whether some block's rolling checksum shares the tag of `rolling`.
+    #[inline]
+    fn tagged(&self, rolling: u32) -> bool {
+        let t = tag(rolling);
+        self.tags[t / 64] & (1 << (t % 64)) != 0
+    }
+
+    /// Candidate blocks whose rolling checksum matches, in ascending block
+    /// order. A probe whose tag no block carries returns at once, without
+    /// hashing into the index.
+    #[inline]
     pub fn candidates(&self, rolling: u32) -> &[u32] {
+        if !self.tagged(rolling) {
+            return &[];
+        }
         self.index
             .get(&rolling)
             .map(|v| v.as_slice())
@@ -78,10 +109,22 @@ impl Signature {
     /// Only full-size blocks participate in rolling matching (short final
     /// blocks are matched separately by the delta generator).
     ///
-    /// The strong hash of the window is computed at most once per call —
-    /// lazily, on the first length-compatible candidate — no matter how many
-    /// blocks collide on the rolling checksum.
+    /// The tag test is inlined into the caller's scan, so an unmatched
+    /// window costs one bit test; the candidate walk stays out of line.
+    #[inline]
     pub fn find_match(&self, rolling: u32, window: &[u8]) -> Option<u32> {
+        if !self.tagged(rolling) {
+            return None;
+        }
+        self.match_candidates(rolling, window)
+    }
+
+    /// The candidate walk behind [`Self::find_match`]. The strong hash of
+    /// the window is computed at most once per call — lazily, on the first
+    /// length-compatible candidate — no matter how many blocks collide on
+    /// the rolling checksum.
+    #[inline(never)]
+    fn match_candidates(&self, rolling: u32, window: &[u8]) -> Option<u32> {
         let mut strong: Option<[u8; 16]> = None;
         for &idx in self.candidates(rolling) {
             let b = &self.blocks[idx as usize];
@@ -193,6 +236,54 @@ mod tests {
         let before = Md5::digest_invocations();
         assert_eq!(sig.find_match(r, &forged[..BS - 1]), None);
         assert_eq!(Md5::digest_invocations() - before, 0);
+    }
+
+    #[test]
+    fn tag_filter_rejects_tag_collisions_and_keeps_candidate_order() {
+        // Basis with repeated blocks, so some candidate lists hold several
+        // indices whose order must survive the filter.
+        const BS: usize = 256;
+        let g = FileGen::new(9);
+        let mut basis = g.random_file(40 * BS);
+        for (dst, src) in [(5, 1), (17, 1), (30, 1), (22, 3), (39, 3)] {
+            let block = basis[src * BS..(src + 1) * BS].to_vec();
+            basis[dst * BS..(dst + 1) * BS].copy_from_slice(&block);
+        }
+        let sig = Signature::compute(&basis, BS);
+        let present: std::collections::BTreeSet<u32> =
+            sig.blocks.iter().map(|b| b.rolling).collect();
+
+        // Every present value: exactly the linear scan, in block order.
+        for &r in &present {
+            let scan: Vec<u32> = sig
+                .blocks
+                .iter()
+                .filter(|b| b.rolling == r)
+                .map(|b| b.index)
+                .collect();
+            assert_eq!(sig.candidates(r), scan.as_slice(), "rolling {r:#010x}");
+        }
+        assert_eq!(sig.candidates(sig.blocks[1].rolling), &[1, 5, 17, 30]);
+
+        // Forged values: same 16-bit tag as a basis block (moving one unit
+        // between the halves keeps their sum), different 32-bit value. The
+        // filter lets them through, and the index must still turn them away.
+        let mut forged_probes = 0;
+        for b in &sig.blocks {
+            let (lo, hi) = (b.rolling & 0xffff, b.rolling >> 16);
+            for (dlo, dhi) in [(1u32, 0xffffu32), (0xffff, 1), (0x100, 0xff00)] {
+                let forged = ((lo + dlo) & 0xffff) | (((hi + dhi) & 0xffff) << 16);
+                assert_eq!(tag(forged), tag(b.rolling));
+                assert_ne!(forged, b.rolling);
+                if present.contains(&forged) {
+                    continue;
+                }
+                forged_probes += 1;
+                assert!(sig.candidates(forged).is_empty(), "forged {forged:#010x}");
+                assert_eq!(sig.find_match(forged, &basis[..BS]), None);
+            }
+        }
+        assert!(forged_probes > 100);
     }
 
     #[test]
