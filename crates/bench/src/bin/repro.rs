@@ -1,7 +1,8 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro --all            # the full paper, 7-run protocol (slower)
+//! repro --all            # the full paper, 7-run protocol, then the
+//!                        # headline-claim check (exit 1 on a violation)
 //! repro --quick --all    # 3-run protocol, 2 sizes (CI smoke)
 //! repro fig2 table2      # individual artifacts
 //! repro ablations        # the DESIGN.md §6 extension experiments
@@ -64,6 +65,7 @@ fn main() {
     let mut csv_tables: Vec<(String, measure::Table)> = Vec::new();
 
     if all {
+        let started = std::time::Instant::now();
         match repro::render_all(&set) {
             Ok(text) => println!("{text}"),
             Err(e) => {
@@ -71,6 +73,18 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        match repro::check_headline_claims(&set) {
+            Ok(v) if v.is_empty() => println!("headline claims: all preserved"),
+            Ok(v) => {
+                eprintln!("HEADLINE CLAIM VIOLATIONS:\n{v:#?}");
+                std::process::exit(1);
+            }
+            Err(e) => {
+                eprintln!("claim check failed: {e}");
+                std::process::exit(1);
+            }
+        }
+        eprintln!("(regenerated in {:.1?})", started.elapsed());
     } else {
         run_selected(&set, &wants, &mut csv_tables);
     }

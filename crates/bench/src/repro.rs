@@ -116,8 +116,9 @@ pub fn numbers_table(
     out
 }
 
-/// Everything the paper reports, rendered in order. Returns the rendered
-/// text and the campaign results for further use (Table I/V need them all).
+/// Everything the paper reports, rendered in order as one text: the
+/// figures, the traceroutes, Tables II–IV with their paper-value
+/// validations, and Tables I and V over all nine campaigns.
 pub fn render_all(set: &ExperimentSet<'_>) -> Result<String, NetError> {
     let mut out = String::new();
 
@@ -225,8 +226,8 @@ pub fn render_all(set: &ExperimentSet<'_>) -> Result<String, NetError> {
     Ok(out)
 }
 
-/// Quick self-check used by tests: the headline orderings the reproduction
-/// must preserve.
+/// The headline orderings the reproduction must preserve. `repro --all`
+/// runs this after rendering and exits 1 on any violation.
 pub fn check_headline_claims(set: &ExperimentSet<'_>) -> Result<Vec<String>, NetError> {
     let mut violations = Vec::new();
     let fig2 = set.fig2()?;

@@ -35,9 +35,7 @@
 //! sequential execution through the same code path, trivially
 //! bit-identical. `simcheck` proves the end-to-end claim by running every
 //! scenario under this executor and diffing chained digests against the
-//! sequential execution ([`ShardDivergence`] fires on any mismatch).
-//!
-//! [`ShardDivergence`]: https://docs.rs/simcheck
+//! sequential execution (a `shard_divergence` violation on any mismatch).
 
 use crate::audit::Digest;
 use crate::flow::RateChange;

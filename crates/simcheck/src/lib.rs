@@ -19,11 +19,12 @@
 //!   no link above capacity, max-min fairness, clock monotonicity — and
 //!   chains per-event state digests so two same-seed executions can be
 //!   compared bit-for-bit.
-//! * [`runner`] builds the world a spec describes and executes it — twice
-//!   for the determinism check, under differential allocator/progress
-//!   modes, and under the sharded executor at several worker counts
-//!   ([`Violation::ShardDivergence`] fires if parallel execution is not
-//!   bit-identical to sequential).
+//! * [`runner`] builds the world a spec describes, executes it, and re-runs
+//!   it along every differential [`Axis`]: the same options again, the
+//!   reference allocator, eager progress and reference routing modes, the
+//!   sharded executor at several worker counts, and (for sync cases) the
+//!   chunk-store bypass. A re-run whose compared digest differs from the
+//!   first execution's is a [`Violation::Divergence`] of that axis.
 //! * [`shrink`] reduces a failing scenario to a minimal reproducer.
 //!
 //! The `detour check` CLI subcommand and the `tests/simcheck_invariants.rs`
@@ -39,7 +40,7 @@ pub mod scenario;
 pub mod shrink;
 
 pub use json::Json;
-pub use oracle::{OracleHandle, Violation};
+pub use oracle::{Axis, OracleHandle, Violation};
 pub use runner::{
     check_case, check_case_at, run_once, run_sharded, CaseResult, RunOptions, RunOutcome,
     SHARD_WORKER_COUNTS,
@@ -86,6 +87,21 @@ pub struct CheckConfig {
     /// of the standard [`SHARD_WORKER_COUNTS`] (1, 2 and 4). `0` adds
     /// nothing; the CLI wires `--threads` / `DETOUR_THREADS` here.
     pub threads: u32,
+}
+
+impl CheckConfig {
+    /// Worker counts of the sharded differential: [`SHARD_WORKER_COUNTS`]
+    /// plus [`CheckConfig::threads`] when set (deduplicated, ascending).
+    /// Checking, shrinking and the final re-check all use this set.
+    pub fn shard_workers(&self) -> Vec<usize> {
+        let mut workers = SHARD_WORKER_COUNTS.to_vec();
+        if self.threads > 0 {
+            workers.push(self.threads as usize);
+            workers.sort_unstable();
+            workers.dedup();
+        }
+        workers
+    }
 }
 
 impl Default for CheckConfig {
@@ -176,14 +192,7 @@ pub fn run_check(config: CheckConfig) -> CheckReport {
         rate_inflation: config.rate_inflation,
         ..Default::default()
     };
-    // The sharded differential always covers 1/2/4 workers; an explicit
-    // --threads request joins the set (deduplicated, ascending).
-    let mut workers: Vec<usize> = SHARD_WORKER_COUNTS.to_vec();
-    if config.threads > 0 {
-        workers.push(config.threads as usize);
-        workers.sort_unstable();
-        workers.dedup();
-    }
+    let workers = config.shard_workers();
     let mut report = CheckReport::default();
     for i in 0..config.cases {
         let seed = case_seed(config.seed, i);
@@ -198,8 +207,8 @@ pub fn run_check(config: CheckConfig) -> CheckReport {
             report.passed += 1;
             continue;
         }
-        let shrunk = shrink(&spec, opts, config.shrink_budget);
-        let violations = check_case(&shrunk.spec, opts).violations;
+        let shrunk = shrink(&spec, opts, &workers, config.shrink_budget);
+        let violations = check_case_at(&shrunk.spec, opts, &workers).violations;
         report.failures.push(CaseFailure {
             case_index: i,
             case_seed: seed,

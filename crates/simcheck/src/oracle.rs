@@ -33,6 +33,50 @@ const MAX_VIOLATIONS: usize = 64;
 /// Relative tolerance for float comparisons against engine-computed values.
 const REL_TOL: f64 = 1e-9;
 
+/// One differential re-execution [`crate::runner::check_case_at`] checks a
+/// case along. Each must reproduce the first execution's compared digest
+/// bit for bit; the runner's axis table says how each one re-runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// The same options again: same seed ⇒ same execution.
+    Repeat,
+    /// The reference (full-recompute) allocator instead of the incremental
+    /// one (see `netsim::flow::FlowCore`).
+    Allocator,
+    /// The eager per-event progress sweep instead of lazy materialization
+    /// (see `netsim::engine::ProgressMode`).
+    Progress,
+    /// The per-query reference Dijkstra instead of the precomputed route
+    /// oracle; both use the canonical smaller-predecessor-at-settlement
+    /// tie-break (see `netsim::oracle`).
+    Routing,
+    /// The sharded executor at this many worker threads instead of the
+    /// sequential fold: both reduce cells in cell-id order, so a divergence
+    /// means scheduling or completion order leaked into the merge.
+    Shard {
+        /// Worker-thread count of the sharded run.
+        workers: u32,
+    },
+    /// The relay chunk store bypassed. The store only re-prices forward
+    /// legs, so wire timing differs but the delivered file bytes
+    /// ([`crate::RunOutcome::sync_digest`]) must not.
+    Chunk,
+}
+
+impl Axis {
+    /// The [`Violation::kind`] tag of a divergence along this axis.
+    pub fn kind(self) -> &'static str {
+        match self {
+            Axis::Repeat => "determinism",
+            Axis::Allocator => "allocator_divergence",
+            Axis::Progress => "progress_divergence",
+            Axis::Routing => "routing_divergence",
+            Axis::Shard { .. } => "shard_divergence",
+            Axis::Chunk => "chunk_divergence",
+        }
+    }
+}
+
 /// A detected invariant violation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
@@ -76,56 +120,17 @@ pub enum Violation {
         /// When, nanoseconds.
         at_ns: u64,
     },
-    /// Two same-seed executions diverged.
-    Determinism {
-        /// Chain digest of the first execution.
+    /// A differential re-execution of the case disagreed with the first
+    /// execution on the digest its [`Axis`] compares. Every axis is a
+    /// bit-identity guarantee, so any divergence is a bug in the layer the
+    /// axis swaps out.
+    Divergence {
+        /// Which re-execution diverged.
+        axis: Axis,
+        /// Compared digest of the first execution.
         first: u64,
-        /// Chain digest of the second execution.
-        second: u64,
-    },
-    /// The incremental and reference allocators produced different
-    /// executions for the same seed. The engine guarantees the two are
-    /// bitwise-identical (see `netsim::flow::FlowCore`), so any divergence
-    /// in the chained state digests is an allocator bug.
-    AllocatorDivergence {
-        /// Chain digest under the incremental allocator.
-        incremental: u64,
-        /// Chain digest under the reference (full-recompute) allocator.
-        reference: u64,
-    },
-    /// The lazy and eager progress-accounting modes produced different
-    /// executions for the same seed. Both modes share the anchored progress
-    /// arithmetic (see `netsim::engine::ProgressMode`), so any divergence
-    /// in the chained state digests is a progress-accounting bug.
-    ProgressDivergence {
-        /// Chain digest under lazy (materialize-on-demand) accounting.
-        lazy: u64,
-        /// Chain digest under the eager per-event sweep.
-        eager: u64,
-    },
-    /// The precomputed route oracle and the per-query reference Dijkstra
-    /// produced different executions for the same seed. Both backends
-    /// implement the same canonical smaller-predecessor-at-settlement
-    /// tie-break (see `netsim::oracle`), so any divergence in the chained
-    /// state digests is a routing bug.
-    RoutingDivergence {
-        /// Chain digest under the precomputed route oracle.
-        oracle: u64,
-        /// Chain digest under the per-query reference Dijkstra.
-        reference: u64,
-    },
-    /// The sharded executor produced a different execution from the
-    /// sequential fold over the same cells. Both paths run identical cell
-    /// simulations and reduce them in cell-id order, so any divergence
-    /// means a nondeterministic order (thread scheduling, completion
-    /// order, slot assignment) leaked into the merge.
-    ShardDivergence {
-        /// Worker-thread count of the sharded run.
-        workers: u32,
-        /// Chain digest of the sequential execution.
-        sequential: u64,
-        /// Chain digest under the sharded executor.
-        sharded: u64,
+        /// Compared digest of the re-execution.
+        other: u64,
     },
     /// The route plane served a decision whose bits differ from a fresh
     /// source computation at the current generation (with breaker demotion
@@ -169,16 +174,6 @@ pub enum Violation {
         /// Sync pass (0 = initial replication, then mutation rounds).
         round: u32,
     },
-    /// The cache-enabled and cache-bypass executions of a sync scenario
-    /// delivered different final file bytes at the relay. The chunk store
-    /// only re-prices the forward leg — it must never change *what* is
-    /// delivered — so any content divergence is a dedup bug.
-    ChunkDivergence {
-        /// Content digest of the cache-enabled execution's delivered files.
-        cached: u64,
-        /// Content digest of the cache-bypass execution's delivered files.
-        bypass: u64,
-    },
 }
 
 impl Violation {
@@ -189,16 +184,11 @@ impl Violation {
             Violation::OverAllocation { .. } => "over_allocation",
             Violation::UnfairAllocation { .. } => "unfair_allocation",
             Violation::ByteConservation { .. } => "byte_conservation",
-            Violation::Determinism { .. } => "determinism",
-            Violation::AllocatorDivergence { .. } => "allocator_divergence",
-            Violation::ProgressDivergence { .. } => "progress_divergence",
-            Violation::RoutingDivergence { .. } => "routing_divergence",
-            Violation::ShardDivergence { .. } => "shard_divergence",
+            Violation::Divergence { axis, .. } => axis.kind(),
             Violation::PlaneDivergence { .. } => "plane_divergence",
             Violation::EngineError { .. } => "engine_error",
             Violation::DeadlineOverrun { .. } => "deadline_overrun",
             Violation::SyncIntegrity { .. } => "sync_integrity",
-            Violation::ChunkDivergence { .. } => "chunk_divergence",
         }
     }
 }
@@ -236,33 +226,22 @@ impl std::fmt::Display for Violation {
                 f,
                 "flow {flow} byte conservation at {at_ns}ns: reported {reported} B, integral {integrated:.1} B"
             ),
-            Violation::Determinism { first, second } => write!(
-                f,
-                "same-seed executions diverged: {first:#018x} vs {second:#018x}"
-            ),
-            Violation::AllocatorDivergence {
-                incremental,
-                reference,
-            } => write!(
-                f,
-                "incremental vs reference allocator diverged: {incremental:#018x} vs {reference:#018x}"
-            ),
-            Violation::ProgressDivergence { lazy, eager } => write!(
-                f,
-                "lazy vs eager progress accounting diverged: {lazy:#018x} vs {eager:#018x}"
-            ),
-            Violation::RoutingDivergence { oracle, reference } => write!(
-                f,
-                "route oracle vs reference Dijkstra diverged: {oracle:#018x} vs {reference:#018x}"
-            ),
-            Violation::ShardDivergence {
-                workers,
-                sequential,
-                sharded,
-            } => write!(
-                f,
-                "sharded executor ({workers} workers) diverged from sequential: {sequential:#018x} vs {sharded:#018x}"
-            ),
+            Violation::Divergence { axis, first, other } => {
+                match axis {
+                    Axis::Repeat => f.write_str("same-seed executions diverged")?,
+                    Axis::Allocator => f.write_str("incremental vs reference allocator diverged")?,
+                    Axis::Progress => f.write_str("lazy vs eager progress accounting diverged")?,
+                    Axis::Routing => f.write_str("route oracle vs reference Dijkstra diverged")?,
+                    Axis::Shard { workers } => write!(
+                        f,
+                        "sharded executor ({workers} workers) diverged from sequential"
+                    )?,
+                    Axis::Chunk => f.write_str(
+                        "cache-enabled vs cache-bypass sync delivered different bytes",
+                    )?,
+                }
+                write!(f, ": {first:#018x} vs {other:#018x}")
+            }
             Violation::PlaneDivergence {
                 key,
                 generation,
@@ -288,10 +267,6 @@ impl std::fmt::Display for Violation {
             } => write!(
                 f,
                 "sync session {session} file {file} round {round}: applied delta does not reconstruct the source bytes"
-            ),
-            Violation::ChunkDivergence { cached, bypass } => write!(
-                f,
-                "cache-enabled vs cache-bypass sync delivered different bytes: {cached:#018x} vs {bypass:#018x}"
             ),
         }
     }
@@ -542,6 +517,52 @@ mod tests {
             handle.chain_digest()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn divergence_kinds_and_text_are_stable() {
+        // JSON verdicts, CI logs and benchmark failure messages show these
+        // strings; they must not drift.
+        let cases = [
+            (Axis::Repeat, "determinism", "same-seed executions diverged"),
+            (
+                Axis::Allocator,
+                "allocator_divergence",
+                "incremental vs reference allocator diverged",
+            ),
+            (
+                Axis::Progress,
+                "progress_divergence",
+                "lazy vs eager progress accounting diverged",
+            ),
+            (
+                Axis::Routing,
+                "routing_divergence",
+                "route oracle vs reference Dijkstra diverged",
+            ),
+            (
+                Axis::Shard { workers: 3 },
+                "shard_divergence",
+                "sharded executor (3 workers) diverged from sequential",
+            ),
+            (
+                Axis::Chunk,
+                "chunk_divergence",
+                "cache-enabled vs cache-bypass sync delivered different bytes",
+            ),
+        ];
+        for (axis, kind, text) in cases {
+            let v = Violation::Divergence {
+                axis,
+                first: 0x1234,
+                other: 0xabcd,
+            };
+            assert_eq!(v.kind(), kind);
+            assert_eq!(
+                v.to_string(),
+                format!("{text}: 0x0000000000001234 vs 0x000000000000abcd")
+            );
+        }
     }
 
     #[cfg(feature = "failpoints")]

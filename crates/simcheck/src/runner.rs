@@ -1,9 +1,9 @@
 //! Scenario execution: build the world a [`ScenarioSpec`] describes, run it
-//! under the invariant oracle, and (for checking) run it repeatedly: twice
-//! with the same seed to compare determinism digests, once under the
-//! reference (full-recompute) allocator, once under the eager progress
-//! sweep, and once per worker count under the sharded executor — every
-//! differential execution must be bit-identical to the first.
+//! under the invariant oracle, and (for checking) re-run it once along each
+//! differential [`Axis`] — the same options again, each reference mode,
+//! the sharded executor per worker count, and the chunk-store bypass —
+//! demanding the axis's compared digest be bit-identical to the first
+//! execution's (see [`check_case_at`]).
 //!
 //! A scenario is a list of independent *cells* ([`ScenarioSpec::cells`]):
 //! single-replica scenarios are one cell, replicated ones are several.
@@ -12,7 +12,7 @@
 //! them in cell-id order. The two must agree bit for bit — that is the
 //! shard-divergence oracle.
 
-use crate::oracle::{InvariantOracle, OracleHandle, Violation};
+use crate::oracle::{Axis, InvariantOracle, OracleHandle, Violation};
 use crate::scenario::{ScenarioSpec, TopoSpec};
 use cloudstore::{FaultPlan, Provider, ProviderKind, RetryPolicy, UploadOptions, UploadSession};
 use netsim::background::{BackgroundProfile, BackgroundTraffic};
@@ -42,7 +42,8 @@ const EVENT_BUDGET: u64 = 2_000_000;
 /// far above anything a generated chaos case can legitimately need.
 const CHAOS_SLACK: SimTime = SimTime::from_secs(600);
 
-/// Knobs for a check run.
+/// Knobs for a check run. [`check_case_at`] re-runs every case with each
+/// reference-mode flag forced on in turn (its [`Axis`] table).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
     /// Post-allocation rate multiplier injected into the engine to prove
@@ -50,18 +51,13 @@ pub struct RunOptions {
     /// Requires the `failpoints` feature; silently ignored without it.
     pub rate_inflation: Option<f64>,
     /// Run under the reference (full-recompute) allocator instead of the
-    /// incremental one. [`check_case`] uses this for its differential
-    /// execution; both must produce identical chained digests.
+    /// incremental one.
     pub reference_allocator: bool,
     /// Run with the eager per-event progress sweep (the legacy accounting,
-    /// kept as an oracle) instead of lazy materialization. [`check_case`]
-    /// uses this for a further differential execution; both modes must
-    /// produce identical chained digests.
+    /// kept as an oracle) instead of lazy materialization.
     pub eager_progress: bool,
     /// Route with the per-query reference Dijkstra instead of the
-    /// precomputed route oracle. [`check_case`] uses this for a further
-    /// differential execution; both backends must produce identical
-    /// chained digests.
+    /// precomputed route oracle.
     pub reference_routing: bool,
     /// Record telemetry and fold the derived health-plane state (route
     /// scoreboard, window flushes) into the chained digest, extending the
@@ -70,9 +66,6 @@ pub struct RunOptions {
     pub health: bool,
     /// Run sync sessions with the relay chunk store bypassed: every leg is
     /// priced as if the cache were cold and nothing is ever admitted.
-    /// [`check_case`] uses this for the chunk differential — cached and
-    /// bypass executions take different wire paths but must deliver
-    /// byte-identical final files ([`RunOutcome::sync_digest`]).
     pub chunk_bypass: bool,
 }
 
@@ -101,18 +94,19 @@ pub struct RunOutcome {
     /// relay, folded in session-index order (`Some` iff the spec has sync
     /// sessions). Depends only on the mutation seeds, never on wire timing,
     /// so cache-enabled and cache-bypass executions must agree — that is
-    /// the [`Violation::ChunkDivergence`] differential.
+    /// the [`Axis::Chunk`] differential.
     pub sync_digest: Option<u64>,
 }
 
-/// Result of checking one scenario (two same-seed executions plus a
-/// reference-allocator execution).
+/// Result of checking one scenario: a first execution plus one
+/// re-execution per differential [`Axis`] (see [`check_case_at`]).
 #[derive(Debug, Clone)]
 pub struct CaseResult {
     /// The scenario that was run.
     pub spec: ScenarioSpec,
-    /// All violations: first execution's, plus a determinism violation if
-    /// the second execution diverged.
+    /// All violations: the first execution's, then one
+    /// [`Violation::Divergence`] per diverging axis in axis order, then
+    /// any plane-coherence divergences.
     pub violations: Vec<Violation>,
     /// Events processed by the first execution.
     pub events: u64,
@@ -710,7 +704,7 @@ pub fn run_once(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
 /// `workers` scoped worker threads ([`netsim::shard::run_shards`]) and are
 /// reduced in cell-id order regardless of completion order. Bit-identical
 /// to [`run_once`] for every scenario and worker count — [`check_case`]
-/// proves it per case and flags [`Violation::ShardDivergence`] otherwise.
+/// proves it per case along [`Axis::Shard`].
 pub fn run_sharded(spec: &ScenarioSpec, opts: RunOptions, workers: usize) -> RunOutcome {
     let outs = netsim::shard::run_shards(spec.cells(), workers, |_, cell| run_cell(&cell, opts));
     merge_outcomes(outs)
@@ -1069,13 +1063,52 @@ pub fn check_case(spec: &ScenarioSpec, opts: RunOptions) -> CaseResult {
     check_case_at(spec, opts, &SHARD_WORKER_COUNTS)
 }
 
-/// Check one scenario: run it twice with the same seed and flag invariant
-/// violations plus any determinism divergence; once more under the
-/// reference allocator, once more under the eager progress sweep, and once
-/// more under the per-query reference Dijkstra routing backend; then
-/// once per entry of `shard_workers` under the sharded executor. Every
-/// differential execution's chained digest must be identical to the
-/// incremental/lazy/sequential execution's (same seed ⇒ bit-identical).
+impl Axis {
+    /// The options this axis re-executes with: `opts` with the axis's
+    /// reference flag forced on ([`Axis::Repeat`] and [`Axis::Shard`] force
+    /// nothing). `None` when the caller already forced that flag, since the
+    /// re-run would only repeat the first execution.
+    fn options(self, opts: RunOptions) -> Option<RunOptions> {
+        let mut forced = opts;
+        let flag = match self {
+            Axis::Repeat | Axis::Shard { .. } => return Some(opts),
+            Axis::Allocator => &mut forced.reference_allocator,
+            Axis::Progress => &mut forced.eager_progress,
+            Axis::Routing => &mut forced.reference_routing,
+            Axis::Chunk => &mut forced.chunk_bypass,
+        };
+        if *flag {
+            return None;
+        }
+        *flag = true;
+        Some(forced)
+    }
+
+    /// Compare a re-execution along this axis with the first execution:
+    /// the delivered-bytes digest for [`Axis::Chunk`] (the bypass changes
+    /// wire timing and therefore the chain), the chained digest otherwise.
+    fn compare(self, first: &RunOutcome, other: &RunOutcome) -> Option<Violation> {
+        let digest = |o: &RunOutcome| match self {
+            Axis::Chunk => o.sync_digest.unwrap_or(0),
+            _ => o.chain_digest,
+        };
+        let (first, other) = (digest(first), digest(other));
+        (first != other).then_some(Violation::Divergence {
+            axis: self,
+            first,
+            other,
+        })
+    }
+}
+
+/// Check one scenario: run it once under the oracle, then re-run it along
+/// each differential axis in this order — [`Axis::Repeat`],
+/// [`Axis::Allocator`], [`Axis::Progress`], [`Axis::Routing`], one
+/// [`Axis::Shard`] per entry of `shard_workers`, and [`Axis::Chunk`] when
+/// the spec has sync sessions — flagging a [`Violation::Divergence`] for
+/// each re-run whose compared digest differs from the first execution's.
+/// Axes whose flag the caller already forced in `opts` are skipped. The
+/// route-plane coherence check ([`check_plane_coherence`]) runs last.
 pub fn check_case_at(spec: &ScenarioSpec, opts: RunOptions, shard_workers: &[usize]) -> CaseResult {
     // Health folding is forced on so every determinism and differential
     // comparison also covers the aggregation/health plane.
@@ -1084,87 +1117,25 @@ pub fn check_case_at(spec: &ScenarioSpec, opts: RunOptions, shard_workers: &[usi
         ..opts
     };
     let first = run_once(spec, opts);
-    let second = run_once(spec, opts);
     let mut violations = first.violations.clone();
-    if first.chain_digest != second.chain_digest {
-        violations.push(Violation::Determinism {
-            first: first.chain_digest,
-            second: second.chain_digest,
-        });
-    }
-    if !opts.reference_allocator {
-        let reference = run_once(
-            spec,
-            RunOptions {
-                reference_allocator: true,
-                ..opts
-            },
-        );
-        if first.chain_digest != reference.chain_digest {
-            violations.push(Violation::AllocatorDivergence {
-                incremental: first.chain_digest,
-                reference: reference.chain_digest,
-            });
-        }
-    }
-    if !opts.eager_progress {
-        let eager = run_once(
-            spec,
-            RunOptions {
-                eager_progress: true,
-                ..opts
-            },
-        );
-        if first.chain_digest != eager.chain_digest {
-            violations.push(Violation::ProgressDivergence {
-                lazy: first.chain_digest,
-                eager: eager.chain_digest,
-            });
-        }
-    }
-    if !opts.reference_routing {
-        let reference = run_once(
-            spec,
-            RunOptions {
-                reference_routing: true,
-                ..opts
-            },
-        );
-        if first.chain_digest != reference.chain_digest {
-            violations.push(Violation::RoutingDivergence {
-                oracle: first.chain_digest,
-                reference: reference.chain_digest,
-            });
-        }
-    }
-    for &workers in shard_workers {
-        let sharded = run_sharded(spec, opts, workers);
-        if first.chain_digest != sharded.chain_digest {
-            violations.push(Violation::ShardDivergence {
-                workers: workers as u32,
-                sequential: first.chain_digest,
-                sharded: sharded.chain_digest,
-            });
-        }
-    }
-    // The chunk differential: re-run with the relay chunk store bypassed.
-    // Wire bytes (and therefore timing and chain digests) legitimately
-    // differ, but the delivered file bytes must be identical — the cache
-    // only re-prices the forward leg, it never changes content.
-    if !spec.sync.is_empty() && !opts.chunk_bypass {
-        let bypass = run_once(
-            spec,
-            RunOptions {
-                chunk_bypass: true,
-                ..opts
-            },
-        );
-        if first.sync_digest != bypass.sync_digest {
-            violations.push(Violation::ChunkDivergence {
-                cached: first.sync_digest.unwrap_or(0),
-                bypass: bypass.sync_digest.unwrap_or(0),
-            });
-        }
+    let shards = shard_workers
+        .iter()
+        .map(|&w| Axis::Shard { workers: w as u32 });
+    let axes = [Axis::Repeat, Axis::Allocator, Axis::Progress, Axis::Routing]
+        .into_iter()
+        .chain(shards)
+        .chain((!spec.sync.is_empty()).then_some(Axis::Chunk));
+    for axis in axes {
+        let Some(rerun) = axis.options(opts) else {
+            continue;
+        };
+        // Compare each re-run and drop it before the next one starts;
+        // holding every outcome at once would raise peak memory.
+        let other = match axis {
+            Axis::Shard { workers } => run_sharded(spec, rerun, workers as usize),
+            _ => run_once(spec, rerun),
+        };
+        violations.extend(axis.compare(&first, &other));
     }
     violations.extend(check_plane_coherence(spec));
     CaseResult {
@@ -1179,6 +1150,35 @@ pub fn check_case_at(spec: &ScenarioSpec, opts: RunOptions, shard_workers: &[usi
 mod tests {
     use super::*;
     use crate::scenario::{case_seed, ChurnSpec};
+
+    /// A `bytes`-long commodity job from host 0 to host 1 at time zero.
+    fn job(bytes: u64) -> crate::scenario::JobSpec {
+        crate::scenario::JobSpec {
+            src: 0,
+            dst: 1,
+            via: None,
+            bytes,
+            class: 0,
+            weight_pct: 100,
+            start_ms: 0,
+        }
+    }
+
+    /// A bare `hosts`-host star scenario with nothing scheduled on it.
+    fn star(seed: u64, hosts: u32, access_mbps: u32) -> ScenarioSpec {
+        ScenarioSpec {
+            seed,
+            topo: TopoSpec::Star { hosts, access_mbps },
+            jitter_pct: 0,
+            jobs: vec![],
+            background: vec![],
+            faults: vec![],
+            churn: vec![],
+            chaos: vec![],
+            sync: vec![],
+            replicas: 1,
+        }
+    }
 
     #[test]
     fn generated_cases_run_clean() {
@@ -1206,44 +1206,74 @@ mod tests {
     }
 
     #[test]
-    fn reference_allocator_execution_is_bit_identical() {
-        // The incremental allocator must produce the exact execution the
-        // full-recompute reference does — not just close rates: identical
-        // event sequences, digests and byte counts.
-        for i in 0..4 {
-            let spec = ScenarioSpec::generate(case_seed(9, i));
-            let inc = run_once(&spec, RunOptions::default());
-            let refr = run_once(
-                &spec,
-                RunOptions {
-                    reference_allocator: true,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(inc.chain_digest, refr.chain_digest, "case {i}: {spec:?}");
-            assert_eq!(inc.events, refr.events, "case {i}");
-            assert_eq!(inc.bytes_delivered, refr.bytes_delivered, "case {i}");
+    fn reference_mode_executions_are_bit_identical() {
+        // Each fast path must produce the exact execution its reference
+        // mode does — not just close rates: identical event sequences,
+        // digests and byte counts.
+        let modes = [
+            (9, Axis::Allocator),
+            (11, Axis::Progress),
+            (31, Axis::Routing),
+        ];
+        for (k, (base, axis)) in modes.into_iter().enumerate() {
+            // The axis forces exactly its own flag, and a caller that
+            // already forced it gets no re-run.
+            let r = axis.options(RunOptions::default()).expect("not forced");
+            let flags = [r.reference_allocator, r.eager_progress, r.reference_routing];
+            assert_eq!(flags, std::array::from_fn(|j| j == k), "{axis:?}");
+            assert!(axis.options(r).is_none(), "{axis:?}");
+            for i in 0..4 {
+                let spec = ScenarioSpec::generate(case_seed(base, i));
+                let fast = run_once(&spec, RunOptions::default());
+                let refr = run_once(&spec, r);
+                assert_eq!(
+                    fast.chain_digest, refr.chain_digest,
+                    "{axis:?} case {i}: {spec:?}"
+                );
+                assert_eq!(fast.events, refr.events, "{axis:?} case {i}");
+                assert_eq!(
+                    fast.bytes_delivered, refr.bytes_delivered,
+                    "{axis:?} case {i}"
+                );
+            }
         }
     }
 
     #[test]
-    fn reference_routing_execution_is_bit_identical() {
-        // The precomputed route oracle must produce the exact execution the
-        // per-query reference Dijkstra does — identical event sequences,
-        // digests and byte counts.
-        for i in 0..4 {
-            let spec = ScenarioSpec::generate(case_seed(31, i));
-            let oracle = run_once(&spec, RunOptions::default());
-            let refr = run_once(
-                &spec,
-                RunOptions {
-                    reference_routing: true,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(oracle.chain_digest, refr.chain_digest, "case {i}: {spec:?}");
-            assert_eq!(oracle.events, refr.events, "case {i}");
-            assert_eq!(oracle.bytes_delivered, refr.bytes_delivered, "case {i}");
+    fn every_axis_flags_a_flipped_compared_digest() {
+        // Flipping the digest an axis compares must yield exactly that
+        // axis's divergence; flipping the digest it does not compare (the
+        // chain for the chunk axis, delivered bytes for the others) must
+        // not, and an identical outcome never diverges.
+        let spec = ScenarioSpec::generate_sync(case_seed(47, 0));
+        let first = run_once(&spec, RunOptions::default());
+        let (chain, sync) = (first.chain_digest, first.sync_digest.expect("sync case"));
+        let flipped = |chain_bit: u64, sync_bit: u64| RunOutcome {
+            chain_digest: chain ^ chain_bit,
+            sync_digest: Some(sync ^ sync_bit),
+            ..first.clone()
+        };
+        let axes = [
+            Axis::Repeat,
+            Axis::Allocator,
+            Axis::Progress,
+            Axis::Routing,
+            Axis::Shard { workers: 2 },
+            Axis::Chunk,
+        ];
+        for axis in axes {
+            let (compared, ignored, digest) = match axis {
+                Axis::Chunk => (flipped(0, 1), flipped(1, 0), sync),
+                _ => (flipped(1, 0), flipped(0, 1), chain),
+            };
+            let divergence = Violation::Divergence {
+                axis,
+                first: digest,
+                other: digest ^ 1,
+            };
+            assert_eq!(axis.compare(&first, &compared), Some(divergence));
+            assert_eq!(axis.compare(&first, &ignored), None, "{axis:?}");
+            assert_eq!(axis.compare(&first, &first), None, "{axis:?}");
         }
     }
 
@@ -1269,27 +1299,8 @@ mod tests {
     #[test]
     fn star_topology_runs() {
         let spec = ScenarioSpec {
-            seed: 5,
-            topo: TopoSpec::Star {
-                hosts: 2,
-                access_mbps: 10,
-            },
-            jitter_pct: 0,
-            jobs: vec![crate::scenario::JobSpec {
-                src: 0,
-                dst: 1,
-                via: None,
-                bytes: 1024 * 1024,
-                class: 0,
-                weight_pct: 100,
-                start_ms: 0,
-            }],
-            background: vec![],
-            faults: vec![],
-            churn: vec![],
-            chaos: vec![],
-            sync: vec![],
-            replicas: 1,
+            jobs: vec![job(1024 * 1024)],
+            ..star(5, 2, 10)
         };
         let res = check_case(&spec, RunOptions::default());
         assert!(res.ok(), "violations: {:?}", res.violations);
@@ -1297,43 +1308,10 @@ mod tests {
     }
 
     #[test]
-    fn eager_progress_execution_is_bit_identical() {
-        for i in 0..4 {
-            let spec = ScenarioSpec::generate(case_seed(11, i));
-            let lazy = run_once(&spec, RunOptions::default());
-            let eager = run_once(
-                &spec,
-                RunOptions {
-                    eager_progress: true,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(lazy.chain_digest, eager.chain_digest, "case {i}: {spec:?}");
-            assert_eq!(lazy.events, eager.events, "case {i}");
-            assert_eq!(lazy.bytes_delivered, eager.bytes_delivered, "case {i}");
-        }
-    }
-
-    #[test]
     fn high_churn_case_runs_clean_under_all_executions() {
         let spec = ScenarioSpec {
-            seed: 3,
-            topo: TopoSpec::Star {
-                hosts: 3,
-                access_mbps: 20,
-            },
             jitter_pct: 2,
-            jobs: vec![crate::scenario::JobSpec {
-                src: 0,
-                dst: 1,
-                via: None,
-                bytes: 8 * 1024 * 1024,
-                class: 0,
-                weight_pct: 100,
-                start_ms: 0,
-            }],
-            background: vec![],
-            faults: vec![],
+            jobs: vec![job(8 * 1024 * 1024)],
             churn: vec![
                 ChurnSpec {
                     src: 0,
@@ -1350,9 +1328,7 @@ mod tests {
                     gap_ms: 3,
                 },
             ],
-            chaos: vec![],
-            sync: vec![],
-            replicas: 1,
+            ..star(3, 3, 20)
         };
         let res = check_case(&spec, RunOptions::default());
         assert!(res.ok(), "violations: {:?}", res.violations);
@@ -1391,16 +1367,6 @@ mod tests {
         // error well inside its termination bound and the event budget —
         // the regression guard for the unbounded-429 retry loop.
         let spec = ScenarioSpec {
-            seed: 9,
-            topo: TopoSpec::Star {
-                hosts: 2,
-                access_mbps: 20,
-            },
-            jitter_pct: 0,
-            jobs: vec![],
-            background: vec![],
-            faults: vec![],
-            churn: vec![],
             chaos: vec![crate::scenario::ChaosSpec {
                 client: 0,
                 frontend: 1,
@@ -1411,8 +1377,7 @@ mod tests {
                 deadline_ms: 0,
                 start_ms: 0,
             }],
-            sync: vec![],
-            replicas: 1,
+            ..star(9, 2, 20)
         };
         let out = run_once(&spec, RunOptions::default());
         assert_eq!(out.violations, vec![], "violations: {:?}", out.violations);
@@ -1426,16 +1391,6 @@ mod tests {
         // A deadline-armed session under heavy throttling must settle by
         // deadline + slack; the watcher would flag an overrun otherwise.
         let spec = ScenarioSpec {
-            seed: 11,
-            topo: TopoSpec::Star {
-                hosts: 3,
-                access_mbps: 20,
-            },
-            jitter_pct: 0,
-            jobs: vec![],
-            background: vec![],
-            faults: vec![],
-            churn: vec![],
             chaos: vec![crate::scenario::ChaosSpec {
                 client: 0,
                 frontend: 1,
@@ -1446,8 +1401,7 @@ mod tests {
                 deadline_ms: 5000,
                 start_ms: 100,
             }],
-            sync: vec![],
-            replicas: 1,
+            ..star(11, 3, 20)
         };
         let out = run_once(&spec, RunOptions::default());
         assert_eq!(out.violations, vec![], "violations: {:?}", out.violations);
@@ -1597,17 +1551,6 @@ mod tests {
         // determinism of the shared store across all differential
         // executions is what check_case proves.
         let spec = ScenarioSpec {
-            seed: 21,
-            topo: TopoSpec::Star {
-                hosts: 3,
-                access_mbps: 20,
-            },
-            jitter_pct: 0,
-            jobs: vec![],
-            background: vec![],
-            faults: vec![],
-            churn: vec![],
-            chaos: vec![],
             sync: vec![
                 crate::scenario::SyncSpec {
                     client: 0,
@@ -1632,7 +1575,7 @@ mod tests {
                     start_ms: 50,
                 },
             ],
-            replicas: 1,
+            ..star(21, 3, 20)
         };
         let res = check_case(&spec, RunOptions::default());
         assert!(res.ok(), "violations: {:?}", res.violations);

@@ -163,7 +163,7 @@ pub struct ChaosSpec {
 /// every applied delta reconstructs the client's bytes exactly
 /// ([`crate::oracle::Violation::SyncIntegrity`]), and a cache-bypass
 /// re-execution delivers byte-identical final files
-/// ([`crate::oracle::Violation::ChunkDivergence`]).
+/// ([`crate::oracle::Axis::Chunk`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncSpec {
     /// Client host index (mod host count).

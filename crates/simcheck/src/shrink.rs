@@ -8,7 +8,7 @@
 //! descent, bounded by an evaluation budget, same scheme as QuickCheck-style
 //! shrinkers but over the scenario grammar instead of raw bytes.
 
-use crate::runner::{check_case, RunOptions};
+use crate::runner::{check_case_at, RunOptions};
 use crate::scenario::{ScenarioSpec, TopoSpec};
 
 /// Smallest payload the shrinker will go down to.
@@ -21,7 +21,7 @@ pub struct ShrinkResult {
     pub spec: ScenarioSpec,
     /// Accepted shrink steps.
     pub steps: u32,
-    /// Scenario executions spent (each evaluation runs the case twice).
+    /// Candidate specs checked.
     pub evals: u32,
 }
 
@@ -243,13 +243,19 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
     out
 }
 
-/// Shrink `spec` to a smaller scenario that still fails under `opts`.
+/// Shrink `spec` to a smaller scenario that still fails under `opts` when
+/// checked at the shard `workers` the failure was found with.
 ///
-/// `budget` bounds the number of candidate evaluations (each one executes
-/// the scenario twice via [`check_case`]). The input spec is assumed to
-/// fail; if it does not, it is returned unchanged with `evals == 0`.
-pub fn shrink(spec: &ScenarioSpec, opts: RunOptions, budget: u32) -> ShrinkResult {
-    let fails = |s: &ScenarioSpec| !check_case(s, opts).ok();
+/// `budget` bounds the number of candidate evaluations (one
+/// [`check_case_at`] each). A spec with no failing candidate comes back
+/// unchanged with `steps == 0`.
+pub fn shrink(
+    spec: &ScenarioSpec,
+    opts: RunOptions,
+    workers: &[usize],
+    budget: u32,
+) -> ShrinkResult {
+    let fails = |s: &ScenarioSpec| !check_case_at(s, opts, workers).ok();
     let mut current = spec.clone();
     let mut steps = 0u32;
     let mut evals = 0u32;
@@ -277,6 +283,7 @@ pub fn shrink(spec: &ScenarioSpec, opts: RunOptions, budget: u32) -> ShrinkResul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::SHARD_WORKER_COUNTS;
     use crate::scenario::case_seed;
 
     #[test]
@@ -309,7 +316,7 @@ mod tests {
     #[test]
     fn passing_spec_shrinks_to_itself_cheaply() {
         let spec = ScenarioSpec::generate(case_seed(4, 3));
-        let res = shrink(&spec, RunOptions::default(), 20);
+        let res = shrink(&spec, RunOptions::default(), &SHARD_WORKER_COUNTS, 20);
         // A clean engine fails nothing, so no candidate is ever accepted.
         assert_eq!(res.steps, 0);
         assert_eq!(res.spec, spec);
@@ -326,11 +333,11 @@ mod tests {
         // Find a failing generated case first.
         let spec = (0..16)
             .map(|i| ScenarioSpec::generate(case_seed(5, i)))
-            .find(|s| !check_case(s, opts).ok())
+            .find(|s| !check_case_at(s, opts, &SHARD_WORKER_COUNTS).ok())
             .expect("rate inflation must break some generated case");
-        let res = shrink(&spec, opts, 300);
+        let res = shrink(&spec, opts, &SHARD_WORKER_COUNTS, 300);
         assert!(
-            !check_case(&res.spec, opts).ok(),
+            !check_case_at(&res.spec, opts, &SHARD_WORKER_COUNTS).ok(),
             "shrunk spec must still fail"
         );
         assert!(

@@ -267,7 +267,7 @@ fn check(args: &Args) {
             })
         }
         None => simcheck::run_check(simcheck::CheckConfig {
-            cases: args.u64_flag("cases", 64) as u32,
+            cases: u32::try_from(args.u64_flag("cases", 64)).unwrap_or_else(|_| usage()),
             seed: args.u64_flag("seed", 7),
             class: match args.flags.get("class").map(String::as_str) {
                 None | Some("std") => simcheck::ScenarioClass::Standard,

@@ -188,15 +188,21 @@ fn check_emits_json_verdict_and_replays() {
 
 #[test]
 fn bad_flags_fail_cleanly() {
-    let (_, err, ok) = detour(&[
-        "simulate",
-        "--client",
-        "mars",
-        "--provider",
-        "gdrive",
-        "--size",
-        "10",
-    ]);
-    assert!(!ok);
-    assert!(err.contains("usage:"), "{err}");
+    for args in [
+        &[
+            "simulate",
+            "--client",
+            "mars",
+            "--provider",
+            "gdrive",
+            "--size",
+            "10",
+        ][..],
+        // One past u32::MAX cases must not wrap to an empty, passing run.
+        &["check", "--cases", "4294967296"],
+    ] {
+        let (_, err, ok) = detour(args);
+        assert!(!ok, "{args:?}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
 }

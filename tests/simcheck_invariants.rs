@@ -8,8 +8,8 @@
 //! reproducer.
 
 use routing_detours::simcheck::{
-    case_seed, check_case, replay, run_check, run_once, shrink, CheckConfig, RunOptions,
-    ScenarioClass, ScenarioSpec, Violation,
+    case_seed, check_case, check_case_at, replay, run_check, run_once, shrink, CheckConfig,
+    RunOptions, ScenarioClass, ScenarioSpec, Violation, SHARD_WORKER_COUNTS,
 };
 
 /// The CI budget: a fixed-seed batch must hold every invariant.
@@ -93,7 +93,7 @@ fn injected_overallocation_is_caught_and_shrunk() {
         .find(|s| !check_case(s, opts).ok())
         .expect("a 30% over-allocation must break some generated case");
 
-    let res = shrink(&spec, opts, 300);
+    let res = shrink(&spec, opts, &SHARD_WORKER_COUNTS, 300);
     let minimal = check_case(&res.spec, opts);
     assert!(!minimal.ok(), "shrunk spec must still fail");
     assert!(
@@ -118,4 +118,38 @@ fn injected_overallocation_is_caught_and_shrunk() {
     // The minimal reproducer survives a JSON round trip and still fails.
     let round = ScenarioSpec::from_json(&res.spec.to_json()).expect("round trip");
     assert!(!check_case(&round, opts).ok());
+}
+
+/// With an extra `--threads` worker count in the sharded differential,
+/// every reported failure still carries its violations and a shrunk
+/// reproducer that fails under that same worker set: shrinking and the
+/// final re-check use the set the batch was checked with.
+#[test]
+fn failures_with_extra_threads_are_shrunk_under_the_same_worker_set() {
+    let config = CheckConfig {
+        cases: 2,
+        seed: 13,
+        rate_inflation: Some(1.3),
+        shrink_budget: 20,
+        class: ScenarioClass::Standard,
+        threads: 3,
+    };
+    let workers = config.shard_workers();
+    assert_eq!(workers, vec![1, 2, 3, 4]);
+    let report = run_check(config);
+    assert!(!report.ok(), "a 30% over-allocation must fail some case");
+    let opts = RunOptions {
+        rate_inflation: config.rate_inflation,
+        ..Default::default()
+    };
+    for f in &report.failures {
+        assert!(
+            !f.violations.is_empty(),
+            "case {} reported no violations",
+            f.case_index
+        );
+        let recheck = check_case_at(&f.shrunk, opts, &workers);
+        assert!(!recheck.ok(), "case {}: shrunk spec passes", f.case_index);
+        assert_eq!(recheck.violations, f.violations, "case {}", f.case_index);
+    }
 }
