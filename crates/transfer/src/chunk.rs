@@ -9,7 +9,7 @@
 //! (basis, target) pair, the chunk store saves bytes *across* tenants and
 //! rounds.
 
-use crate::md5::Md5;
+use crate::md5;
 
 /// Default chunk size for relay-side deduplication. Coarser than the rsync
 /// block size (2 KiB): dedup chunks are store keys, not delta granules, and
@@ -50,8 +50,9 @@ impl ChunkManifest {
         assert!(chunk_size > 0, "chunk size must be positive");
         let chunks = data
             .chunks(chunk_size)
-            .map(|c| ChunkRef {
-                hash: Md5::digest(c),
+            .zip(md5::digest_chunks(data, chunk_size))
+            .map(|(c, hash)| ChunkRef {
+                hash,
                 len: c.len() as u32,
             })
             .collect();
@@ -79,6 +80,7 @@ impl ChunkManifest {
 mod tests {
     use super::*;
     use crate::filegen::FileGen;
+    use crate::md5::Md5;
 
     #[test]
     fn chunking_covers_content() {

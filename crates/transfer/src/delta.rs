@@ -6,6 +6,7 @@
 //! and jump the window past it; bytes that never match accumulate into
 //! [`DeltaOp::Literal`] runs.
 
+use crate::md5::{self, LANES};
 use crate::rolling::RollingChecksum;
 use crate::signature::Signature;
 
@@ -90,21 +91,50 @@ pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
         // a copy jumps a whole block and recomputes it at the new start.
         let mut rc = RollingChecksum::from_window(&target[..bs.min(target.len())]);
         while pos + bs <= target.len() {
-            let window = &target[pos..pos + bs];
-            if let Some(idx) = sig.find_match(rc.value(), window) {
-                flush(&target[literal_start..pos], &mut ops);
-                ops.push(DeltaOp::Copy { index: idx });
-                pos += bs;
-                literal_start = pos;
-                if pos + bs <= target.len() {
-                    rc = RollingChecksum::from_window(&target[pos..pos + bs]);
+            if sig.has_candidate(rc.value(), bs) {
+                // Copy run: this window and the block-aligned ones after it
+                // that also have a candidate, up to a lane group, are hashed
+                // together. `run[..known]` are the windows' rolling states,
+                // the first `len` of them with a candidate.
+                let mut run = [rc; LANES];
+                let (mut len, mut known) = (1, 1);
+                while len < LANES && pos + (len + 1) * bs <= target.len() {
+                    run[len] = RollingChecksum::from_window(&target[pos + len * bs..][..bs]);
+                    known += 1;
+                    if !sig.has_candidate(run[len].value(), bs) {
+                        break;
+                    }
+                    len += 1;
                 }
-            } else {
-                if pos + bs < target.len() {
-                    rc.roll(target[pos], target[pos + bs]);
+                let strong = md5::digest_chunks(&target[pos..pos + len * bs], bs);
+                // Copies are accepted in order, as the byte-wise scan would
+                // find them: after a copy it tests the next aligned window.
+                let mut k = 0;
+                while let Some(idx) = strong
+                    .get(k)
+                    .and_then(|s| sig.strong_match(run[k].value(), bs, s))
+                {
+                    flush(&target[literal_start..pos], &mut ops);
+                    ops.push(DeltaOp::Copy { index: idx });
+                    pos += bs;
+                    literal_start = pos;
+                    k += 1;
                 }
-                pos += 1;
+                if k == known {
+                    // Every window with a known state was copied.
+                    if pos + bs <= target.len() {
+                        rc = RollingChecksum::from_window(&target[pos..pos + bs]);
+                    }
+                    continue;
+                }
+                // The window at `pos` has no strong match (or no candidate):
+                // the byte-wise scan moves past it.
+                rc = run[k];
             }
+            if pos + bs < target.len() {
+                rc.roll(target[pos], target[pos + bs]);
+            }
+            pos += 1;
         }
         // Tail shorter than one block: try to match the basis's short final
         // block exactly, otherwise it stays in the literal run.
@@ -116,7 +146,7 @@ pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
                 .filter(|b| (b.len as usize) == tail.len() && (b.len as usize) < bs)
                 .filter(|b| {
                     b.rolling == crate::rolling::checksum(tail)
-                        && b.strong == crate::md5::Md5::digest(tail)
+                        && b.strong == md5::Md5::digest(tail)
                 })
                 .map(|b| b.index);
             if let Some(idx) = tail_match {
@@ -133,7 +163,7 @@ pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
     Delta {
         ops,
         target_len: target.len() as u64,
-        target_md5: crate::md5::Md5::digest(target),
+        target_md5: md5::Md5::digest(target),
     }
 }
 
@@ -141,6 +171,7 @@ pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
 mod tests {
     use super::*;
     use crate::filegen::FileGen;
+    use crate::md5::Md5;
     use crate::signature::Signature;
 
     #[test]
@@ -213,6 +244,157 @@ mod tests {
         let delta = compute_delta(&sig, &target);
         assert_eq!(delta.literal_bytes(), 100);
         assert_eq!(delta.copy_count(), 20);
+    }
+
+    /// The matcher before copy runs: every window probed one at a time with
+    /// [`Signature::find_match`]. Copy runs must reproduce its ops exactly.
+    fn byte_wise_ops(sig: &Signature, target: &[u8]) -> Vec<DeltaOp> {
+        let bs = sig.block_size;
+        let (mut ops, mut literal, mut pos) = (Vec::new(), Vec::new(), 0);
+        let close = |literal: &mut Vec<u8>, ops: &mut Vec<DeltaOp>| {
+            if !literal.is_empty() {
+                ops.push(DeltaOp::Literal(std::mem::take(literal)));
+            }
+        };
+        while pos + bs <= target.len() {
+            let window = &target[pos..pos + bs];
+            match sig.find_match(crate::rolling::checksum(window), window) {
+                Some(index) => {
+                    close(&mut literal, &mut ops);
+                    ops.push(DeltaOp::Copy { index });
+                    pos += bs;
+                }
+                None => {
+                    literal.push(target[pos]);
+                    pos += 1;
+                }
+            }
+        }
+        let tail = &target[pos..];
+        match sig.blocks.last() {
+            Some(b) if !tail.is_empty() && b.len as usize == tail.len() && tail.len() < bs => {
+                if b.rolling == crate::rolling::checksum(tail) && b.strong == md5::Md5::digest(tail)
+                {
+                    close(&mut literal, &mut ops);
+                    ops.push(DeltaOp::Copy { index: b.index });
+                } else {
+                    literal.extend_from_slice(tail);
+                }
+            }
+            _ => literal.extend_from_slice(tail),
+        }
+        close(&mut literal, &mut ops);
+        ops
+    }
+
+    fn copies(indices: impl IntoIterator<Item = u32>) -> Vec<DeltaOp> {
+        indices
+            .into_iter()
+            .map(|index| DeltaOp::Copy { index })
+            .collect()
+    }
+
+    #[test]
+    fn copy_run_breaks_at_a_rolling_collision() {
+        use crate::rolling;
+        // A forged window that collides with basis block 2 on the rolling
+        // checksum (construction as in the signature tests) sits inside a
+        // run of matching windows. It is hashed in the same lane group as
+        // its neighbours, fails the strong check, and the scan goes on byte
+        // by byte from it, exactly as the one-window-at-a-time matcher does.
+        const BS: usize = 64;
+        let mut pattern = vec![0u8; BS];
+        pattern[1] = 2;
+        let mut forged = vec![0u8; BS];
+        forged[0] = 1;
+        forged[2] = 1;
+        assert_eq!(rolling::checksum(&pattern), rolling::checksum(&forged));
+        let blocks: Vec<Vec<u8>> = (0..8)
+            .map(|i| match i {
+                2 => pattern.clone(),
+                _ => FileGen::new(40 + 2 * i).random_file(BS),
+            })
+            .collect();
+        let basis = blocks.concat();
+        let mut target = basis.clone();
+        target[2 * BS..3 * BS].copy_from_slice(&forged);
+        let sig = Signature::compute(&basis, BS);
+
+        let before = Md5::digest_invocations();
+        let delta = compute_delta(&sig, &target);
+        // Windows 0-3 are one lane group; after the forged window the run at
+        // 3*BS has five windows: one more lane group and one window hashed
+        // on its own. Lane-hashed windows are not one-shot digests, so the
+        // counter sees that window and the whole-target digest.
+        assert_eq!(Md5::digest_invocations() - before, 2);
+        let mut want = copies([0, 1]);
+        want.push(DeltaOp::Literal(forged));
+        want.extend(copies(3..8));
+        assert_eq!(delta.ops, want);
+        assert_eq!(delta.ops, byte_wise_ops(&sig, &target));
+    }
+
+    #[test]
+    fn copy_runs_take_the_first_duplicate_block() {
+        // Blocks 0, 3 and 5 are one block; so are 1 and 4. Every run copies
+        // the lowest index of a duplicate set, as the candidate walk does.
+        const BS: usize = 128;
+        let [a, b, c, d] = [60, 62, 64, 66].map(|seed| FileGen::new(seed).random_file(BS));
+        let basis = [&a, &b, &c, &a, &b, &a, &d].map(|v| v.as_slice()).concat();
+        let sig = Signature::compute(&basis, BS);
+        let target = [&b, &a, &d, &a, &c, &a, &b, &b, &a]
+            .map(|v| v.as_slice())
+            .concat();
+        let delta = compute_delta(&sig, &target);
+        assert_eq!(delta.ops, copies([1, 0, 6, 0, 2, 0, 1, 1, 0]));
+        assert_eq!(delta.ops, byte_wise_ops(&sig, &target));
+    }
+
+    #[test]
+    fn copy_runs_end_at_a_short_final_block() {
+        // Full runs of every length up to past a lane group, each followed
+        // by the basis's short final block.
+        const BS: usize = 256;
+        let g = FileGen::new(23);
+        for full in 0..=9 {
+            let basis = g.random_file(full * BS + 77);
+            let sig = Signature::compute(&basis, BS);
+            let delta = compute_delta(&sig, &basis);
+            assert_eq!(delta.ops, copies(0..=full as u32), "{full} full blocks");
+            // An edit in the last full block breaks the run just before it.
+            let mut target = basis.clone();
+            if full > 0 {
+                target[full * BS - 1] ^= 0x5a;
+            }
+            assert_eq!(
+                compute_delta(&sig, &target).ops,
+                byte_wise_ops(&sig, &target),
+                "{full} full blocks, edited"
+            );
+        }
+    }
+
+    #[test]
+    fn copy_runs_match_the_byte_wise_scan() {
+        // Edited, shifted and duplicate-heavy targets: runs of every length
+        // broken at every kind of window.
+        for seed in 0..24u64 {
+            let g = FileGen::new(100 + 2 * seed);
+            let bs = [64, 128, 256][seed as usize % 3];
+            let mut basis = g.random_file(40 * bs + seed as usize * 7);
+            for (dst, src) in [(5, 1), (9, 1), (17, 3), (30, 3)] {
+                let block = basis[src * bs..(src + 1) * bs].to_vec();
+                basis[dst * bs..(dst + 1) * bs].copy_from_slice(&block);
+            }
+            let mut target = g.similar_file(&basis, seed as usize % 6, seed as usize * 13);
+            target.splice(0..0, vec![0xEE; seed as usize % 5]);
+            let sig = Signature::compute(&basis, bs);
+            assert_eq!(
+                compute_delta(&sig, &target).ops,
+                byte_wise_ops(&sig, &target),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

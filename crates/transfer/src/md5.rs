@@ -4,6 +4,11 @@
 //! the same way. MD5 is *not* collision-resistant and must never be used for
 //! security — here it only guards against rolling-checksum false positives,
 //! exactly as in rsync.
+//!
+//! One message at a time, MD5 runs at the latency of its 64-step dependency
+//! chain. [`digest_chunks`] hashes many equal-length messages (rsync
+//! signature blocks, chunk-manifest chunks, runs of delta windows) four
+//! side by side, which the vector units take in one pass.
 
 /// Binary integer parts of the sines of integers: floor(2^32 * |sin(i+1)|).
 const K: [u32; 64] = [
@@ -18,7 +23,7 @@ const K: [u32; 64] = [
 ];
 
 thread_local! {
-    /// One-shot digest invocations on this thread (see
+    /// [`Md5::digest`] calls on this thread (see
     /// [`Md5::digest_invocations`]).
     static DIGEST_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
@@ -42,7 +47,7 @@ impl Md5 {
     /// Fresh context.
     pub fn new() -> Self {
         Md5 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
+            state: INIT,
             buffer: [0u8; 64],
             buffered: 0,
             length_bytes: 0,
@@ -57,10 +62,13 @@ impl Md5 {
         ctx.finalize()
     }
 
-    /// Whole-message digests computed on this thread so far. A strong-hash
-    /// probe counter: callers that care about hashing cost (e.g. the
-    /// signature matcher tests and the chunk-store bench) diff this around a
-    /// region to count exactly how many `digest` calls it performed.
+    /// Calls of [`Md5::digest`] (and so of [`Md5::hex_digest`]) on this
+    /// thread so far; diff it around a region to count its one-shot digests.
+    /// [`Signature::find_match`] makes one per strong probe. Messages that
+    /// [`digest_chunks`] hashes in a lane group are not counted; the
+    /// chunks it leaves over go through `digest` and are.
+    ///
+    /// [`Signature::find_match`]: crate::Signature::find_match
     pub fn digest_invocations() -> u64 {
         DIGEST_CALLS.with(|c| c.get())
     }
@@ -104,27 +112,85 @@ impl Md5 {
 
     /// Finish and produce the 16-byte digest.
     pub fn finalize(self) -> [u8; 16] {
-        let bit_len = self.length_bytes.wrapping_mul(8);
         let mut state = self.state;
-        // Padding: 0x80, zeros until length ≡ 56 (mod 64), then the 64-bit
-        // little-endian bit length. A tail of 56 bytes or more leaves no room
-        // for the length, which then goes into a second, all-padding block.
-        let n = self.buffered;
-        let mut block = [0u8; 64];
-        block[..n].copy_from_slice(&self.buffer[..n]);
-        block[n] = 0x80;
-        if n >= 56 {
-            compress(&mut state, &block);
-            block = [0u8; 64];
+        let (blocks, count) = padding(&self.buffer[..self.buffered], self.length_bytes);
+        for block in &blocks[..count] {
+            compress(&mut state, block);
         }
-        block[56..].copy_from_slice(&bit_len.to_le_bytes());
-        compress(&mut state, &block);
-        let mut out = [0u8; 16];
-        for (i, word) in state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
-        }
-        out
+        digest_bytes(state)
     }
+}
+
+/// Initial MD5 state (RFC 1321 §3.3).
+const INIT: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+
+/// Messages [`digest_chunks`] hashes side by side.
+pub(crate) const LANES: usize = 4;
+
+/// One word of each of [`LANES`] messages.
+type Lanes = [u32; LANES];
+
+/// The final blocks of a `length_bytes`-byte message whose last
+/// `tail.len() < 64` bytes are `tail`, and how many of them there are.
+/// Padding: 0x80, zeros until length ≡ 56 (mod 64), then the 64-bit
+/// little-endian bit length. A tail of 56 bytes or more leaves no room for
+/// the length, which then goes into a second, all-padding block.
+#[inline]
+fn padding(tail: &[u8], length_bytes: u64) -> ([[u8; 64]; 2], usize) {
+    let n = tail.len();
+    let mut blocks = [[0u8; 64]; 2];
+    blocks[0][..n].copy_from_slice(tail);
+    blocks[0][n] = 0x80;
+    let last = usize::from(n >= 56);
+    blocks[last][56..].copy_from_slice(&length_bytes.wrapping_mul(8).to_le_bytes());
+    (blocks, last + 1)
+}
+
+/// The digest bytes of a final state.
+#[inline]
+fn digest_bytes(state: [u32; 4]) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+    }
+    out
+}
+
+/// The digests of `data.chunks(chunk_size)`, in order. Each run of four
+/// full chunks is hashed side by side in one pass, at about three times the
+/// one-message speed; the chunks after the last such run, the short final
+/// chunk among them, go through [`Md5::digest`].
+pub fn digest_chunks(data: &[u8], chunk_size: usize) -> Vec<[u8; 16]> {
+    assert!(chunk_size > 0, "chunk size must be positive");
+    let mut out = Vec::with_capacity(data.len().div_ceil(chunk_size));
+    let groups = data.chunks_exact(chunk_size.saturating_mul(LANES));
+    let rest = groups.remainder();
+    for group in groups {
+        out.extend(digest_lanes(std::array::from_fn(|l| {
+            &group[l * chunk_size..(l + 1) * chunk_size]
+        })));
+    }
+    out.extend(rest.chunks(chunk_size).map(Md5::digest));
+    out
+}
+
+/// The digests of [`LANES`] messages of one length, hashed side by side.
+fn digest_lanes(msgs: [&[u8]; LANES]) -> [[u8; 16]; LANES] {
+    let len = msgs[0].len();
+    assert!(
+        msgs.iter().all(|m| m.len() == len),
+        "lanes differ in length"
+    );
+    let split = msgs.map(|m| m.as_chunks::<64>());
+    let mut state = INIT.map(|w| [w; LANES]);
+    for j in 0..len / 64 {
+        compress_lanes(&mut state, split.map(|(blocks, _)| &blocks[j]));
+    }
+    let pads = split.map(|(_, tail)| padding(tail, len as u64));
+    for k in 0..pads[0].1 {
+        compress_lanes(&mut state, std::array::from_fn(|l| &pads[l].0[k]));
+    }
+    std::array::from_fn(|l| digest_bytes(state.map(|w| w[l])))
 }
 
 // The four auxiliary functions of RFC 1321 §3.4, in the usual forms that
@@ -164,14 +230,11 @@ macro_rules! step {
     };
 }
 
-/// The MD5 compression function over one 64-byte block, unrolled into the
-/// four rounds of 16 steps with constant message indices and shifts.
-#[inline]
-fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
-    let mut m = [0u32; 16];
-    for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
-        *w = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    }
+/// The MD5 compression function over one 64-byte block, as 16 message
+/// words: unrolled into the four rounds of 16 steps with constant message
+/// indices and shifts.
+#[inline(always)]
+fn compress_words(state: &mut [u32; 4], m: &[u32; 16]) {
     let [mut a, mut b, mut c, mut d] = *state;
 
     // Round 1: message words in order.
@@ -250,6 +313,37 @@ fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
     state[1] = state[1].wrapping_add(b);
     state[2] = state[2].wrapping_add(c);
     state[3] = state[3].wrapping_add(d);
+}
+
+/// [`compress_words`] over one 64-byte block of one message.
+#[inline]
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    compress_words(state, &m);
+}
+
+/// [`compress_words`] over one block of each of [`LANES`] messages, the
+/// states and message words laid out lane-minor. The loop over lanes runs
+/// the same scalar steps once per lane; LLVM's loop vectoriser turns it
+/// into one pass of 4-wide SIMD steps (SSE2 on the x86-64 baseline).
+#[inline]
+fn compress_lanes(state: &mut [Lanes; 4], blocks: [&[u8; 64]; LANES]) {
+    let m: [Lanes; 16] = std::array::from_fn(|w| {
+        std::array::from_fn(|l| {
+            let b = &blocks[l][w * 4..w * 4 + 4];
+            u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+        })
+    });
+    for l in 0..LANES {
+        let mut s: [u32; 4] = std::array::from_fn(|w| state[w][l]);
+        compress_words(&mut s, &std::array::from_fn(|w| m[w][l]));
+        for (w, x) in state.iter_mut().zip(s) {
+            w[l] = x;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -346,6 +440,27 @@ mod tests {
         let gen = FileGen::new(11);
         for &(n, expected) in cases {
             assert_eq!(Md5::hex_digest(&gen.random_file(n)), expected, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn digest_chunks_equals_one_shot_for_every_group_shape() {
+        // Zero to nine full chunks, so fewer full chunks than lanes, whole
+        // lane groups and groups with leftovers, each with every tail shape.
+        use crate::filegen::FileGen;
+        let data = FileGen::new(13).random_file(10 * 130);
+        for chunk_size in [1, 55, 56, 63, 64, 65, 130] {
+            for full in 0..10 {
+                for tail in [0, 1, chunk_size / 2, chunk_size - 1] {
+                    let msg = &data[..full * chunk_size + tail];
+                    let one_shot: Vec<[u8; 16]> = msg.chunks(chunk_size).map(Md5::digest).collect();
+                    assert_eq!(
+                        digest_chunks(msg, chunk_size),
+                        one_shot,
+                        "chunk size {chunk_size}, {full} full, tail {tail}"
+                    );
+                }
+            }
         }
     }
 

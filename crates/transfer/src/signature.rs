@@ -4,7 +4,7 @@
 //! file into fixed-size blocks and sends `(rolling, strong)` checksums per
 //! block to the sender, which then hunts for those blocks in the new file.
 
-use crate::md5::Md5;
+use crate::md5::{self, Md5};
 use crate::rolling;
 use std::collections::HashMap;
 
@@ -58,9 +58,9 @@ impl Signature {
         let mut blocks = Vec::with_capacity(basis.len() / block_size + 1);
         let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
         let mut tags = Box::new([0u64; TAG_WORDS]);
-        for (i, chunk) in basis.chunks(block_size).enumerate() {
+        let strong = md5::digest_chunks(basis, block_size);
+        for ((i, chunk), strong) in basis.chunks(block_size).enumerate().zip(strong) {
             let rolling = rolling::checksum(chunk);
-            let strong = Md5::digest(chunk);
             blocks.push(BlockSignature {
                 index: i as u32,
                 len: chunk.len() as u32,
@@ -109,34 +109,44 @@ impl Signature {
     /// Only full-size blocks participate in rolling matching (short final
     /// blocks are matched separately by the delta generator).
     ///
+    /// The strong hash of the window is computed at most once per call, and
+    /// only when some candidate has the window's length, no matter how many
+    /// blocks collide on the rolling checksum.
+    pub fn find_match(&self, rolling: u32, window: &[u8]) -> Option<u32> {
+        if !self.has_candidate(rolling, window.len()) {
+            return None;
+        }
+        self.strong_match(rolling, window.len(), &Md5::digest(window))
+    }
+
+    /// Whether some `len`-byte block has rolling checksum `rolling`: exactly
+    /// the windows [`Self::find_match`] hashes.
+    ///
     /// The tag test is inlined into the caller's scan, so an unmatched
     /// window costs one bit test; the candidate walk stays out of line.
     #[inline]
-    pub fn find_match(&self, rolling: u32, window: &[u8]) -> Option<u32> {
-        if !self.tagged(rolling) {
-            return None;
-        }
-        self.match_candidates(rolling, window)
+    pub fn has_candidate(&self, rolling: u32, len: usize) -> bool {
+        self.tagged(rolling) && self.any_of_len(rolling, len)
     }
 
-    /// The candidate walk behind [`Self::find_match`]. The strong hash of
-    /// the window is computed at most once per call — lazily, on the first
-    /// length-compatible candidate — no matter how many blocks collide on
-    /// the rolling checksum.
     #[inline(never)]
-    fn match_candidates(&self, rolling: u32, window: &[u8]) -> Option<u32> {
-        let mut strong: Option<[u8; 16]> = None;
-        for &idx in self.candidates(rolling) {
-            let b = &self.blocks[idx as usize];
-            if b.len as usize != window.len() {
-                continue;
-            }
-            let s = strong.get_or_insert_with(|| Md5::digest(window));
-            if b.strong == *s {
-                return Some(idx);
-            }
-        }
-        None
+    fn any_of_len(&self, rolling: u32, len: usize) -> bool {
+        self.candidates_of_len(rolling, len).next().is_some()
+    }
+
+    /// The first `len`-byte candidate for `rolling`, in block order, whose
+    /// strong checksum is `strong`: the match [`Self::find_match`] returns
+    /// for a window of that length and digest.
+    pub fn strong_match(&self, rolling: u32, len: usize, strong: &[u8; 16]) -> Option<u32> {
+        self.candidates_of_len(rolling, len)
+            .find(|&idx| self.blocks[idx as usize].strong == *strong)
+    }
+
+    fn candidates_of_len(&self, rolling: u32, len: usize) -> impl Iterator<Item = u32> + '_ {
+        self.candidates(rolling)
+            .iter()
+            .copied()
+            .filter(move |&idx| self.blocks[idx as usize].len as usize == len)
     }
 
     /// Number of blocks.

@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 use transfer::syncpop::{mutate, MutationKind, SyncPopulation, SyncPopulationConfig};
-use transfer::{apply_delta, compute_delta, DeltaOp, FileGen, Md5, RsyncWirePlan, Signature};
+use transfer::{
+    apply_delta, compute_delta, md5, DeltaOp, FileGen, Md5, RsyncWirePlan, Signature,
+    DEFAULT_BLOCK_SIZE,
+};
 
 /// Arbitrary single mutations for history-driven tests: a kind selector
 /// plus two free parameters, mapped onto the enum's fields.
@@ -32,6 +35,82 @@ fn expected_delta_wire_bytes(ops: &[DeltaOp]) -> u64 {
         })
         .sum::<u64>()
         + 40
+}
+
+/// FNV-1a over an op list: a copy is a 0 tag and its block index, a literal
+/// a 1 tag, its length and its bytes.
+fn fnv_ops(ops: &[DeltaOp]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for op in ops {
+        match op {
+            DeltaOp::Copy { index } => {
+                eat(&[0]);
+                eat(&index.to_le_bytes());
+            }
+            DeltaOp::Literal(v) => {
+                eat(&[1]);
+                eat(&(v.len() as u64).to_le_bytes());
+                eat(v);
+            }
+        }
+    }
+    h
+}
+
+/// Deltas of a 1 MiB desktop-mix population (seed 2026, three files):
+/// round 0 against an empty basis, then every change of rounds 1–4 against
+/// its basis. Each row is `(round, file, copies, literal bytes, wire bytes,
+/// FNV of the ops)`, recorded with the byte-at-a-time matcher that hashed
+/// every window with its own `Md5::digest`; any change to the scan's
+/// matching order or to a digest shows up here.
+#[test]
+fn golden_deltas_of_a_sync_population() {
+    const GOLDEN: [(u32, usize, usize, u64, u64, u64); 12] = [
+        (0, 0, 0, 1048576, 1048621, 0xa80e872b6882a86a),
+        (0, 1, 0, 1048576, 1048621, 0x4ab17e95bc9f3ca5),
+        (0, 2, 0, 1048576, 1048621, 0x4d677803075c9f0d),
+        (1, 0, 0, 1571163, 1571208, 0x6e3311848c710ca5),
+        (1, 1, 492, 40960, 43555, 0xcca51f942d23bc1a),
+        (1, 2, 505, 14336, 16936, 0xdb9c9ecb9974f9f3),
+        (2, 0, 751, 34816, 38696, 0x7728eb6b3c129713),
+        (2, 1, 506, 12288, 14863, 0x79448ea7e67f9b03),
+        (2, 2, 508, 8192, 10777, 0x25b47356dcf33780),
+        (3, 2, 512, 1747, 4352, 0xceed43ff66353c5a),
+        (4, 0, 767, 5523, 9403, 0xd5c5109d350135b8),
+        (4, 1, 509, 6144, 8744, 0x2e959151c3e12fda),
+    ];
+    let cfg = SyncPopulationConfig {
+        files: 3,
+        file_len: 1 << 20,
+        ..SyncPopulationConfig::default()
+    };
+    let mut pop = SyncPopulation::new(2026, cfg);
+    let row = |round, file, basis: &[u8], target: &[u8]| {
+        let d = compute_delta(&Signature::compute(basis, DEFAULT_BLOCK_SIZE), target);
+        (
+            round,
+            file,
+            d.copy_count(),
+            d.literal_bytes(),
+            d.wire_bytes(),
+            fnv_ops(&d.ops),
+        )
+    };
+    let mut rows: Vec<_> = (0..pop.len())
+        .map(|i| row(0, i, &[], pop.file(i)))
+        .collect();
+    for _ in 0..4 {
+        for c in pop.advance() {
+            rows.push(row(pop.round(), c.file, &c.basis, pop.file(c.file)));
+        }
+    }
+    assert_eq!(rows, GOLDEN);
 }
 
 proptest! {
@@ -242,5 +321,19 @@ proptest! {
         }
         ctx.update(&data[start..]);
         prop_assert_eq!(ctx.finalize(), Md5::digest(&data));
+    }
+
+    /// The lane kernel agrees with one-shot MD5 chunk by chunk, for every
+    /// count of full chunks (fewer than a lane group included), short final
+    /// chunks, and chunk sizes on both sides of the 55/56/64 padding
+    /// boundaries.
+    #[test]
+    fn digest_chunks_equals_one_shot(
+        data in prop::collection::vec(any::<u8>(), 0..20_000),
+        chunk_size in (any::<bool>(), 1usize..9000, prop::sample::select(vec![55usize, 56, 63, 64, 119, 120]))
+            .prop_map(|(boundary, any_size, near_padding)| if boundary { near_padding } else { any_size }),
+    ) {
+        let one_shot: Vec<[u8; 16]> = data.chunks(chunk_size).map(Md5::digest).collect();
+        prop_assert_eq!(md5::digest_chunks(&data, chunk_size), one_shot);
     }
 }

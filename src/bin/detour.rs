@@ -115,6 +115,19 @@ impl Args {
             .map(|s| s.parse().unwrap_or_else(|_| usage()))
             .unwrap_or(default)
     }
+
+    /// A flag that must fit in a `u32`; larger values print usage.
+    fn u32_flag(&self, name: &str, default: u32) -> u32 {
+        u32::try_from(self.u64_flag(name, default.into())).unwrap_or_else(|_| usage())
+    }
+
+    /// A `u32` count that must be at least one; zero prints usage.
+    fn count_flag(&self, name: &str, default: u32) -> u32 {
+        match self.u32_flag(name, default) {
+            0 => usage(),
+            n => n,
+        }
+    }
 }
 
 fn route_by_name(world: &NorthAmerica, name: &str) -> Route {
@@ -267,7 +280,7 @@ fn check(args: &Args) {
             })
         }
         None => simcheck::run_check(simcheck::CheckConfig {
-            cases: u32::try_from(args.u64_flag("cases", 64)).unwrap_or_else(|_| usage()),
+            cases: args.u32_flag("cases", 64),
             seed: args.u64_flag("seed", 7),
             class: match args.flags.get("class").map(String::as_str) {
                 None | Some("std") => simcheck::ScenarioClass::Standard,
@@ -339,7 +352,7 @@ fn check(args: &Args) {
 fn plane(args: &Args) {
     use routing_detours::routeplane::{run_fleet, FleetConfig, PlaneConfig};
     let plane_cfg = PlaneConfig {
-        tenants: args.u64_flag("tenants", PlaneConfig::default().tenants as u64) as u32,
+        tenants: args.count_flag("tenants", PlaneConfig::default().tenants),
         ..PlaneConfig::default()
     };
     let cfg = FleetConfig {
@@ -379,11 +392,11 @@ fn sync_study(args: &Args, world: &NorthAmerica) {
     use routing_detours::scenarios::{run_sync_study, SyncStudyConfig};
     let d = SyncStudyConfig::default();
     let cfg = SyncStudyConfig {
-        tenants: args.u64_flag("tenants", d.tenants as u64) as u32,
-        files: args.u64_flag("files", d.files as u64) as u32,
-        rounds: args.u64_flag("rounds", d.rounds as u64) as u32,
-        file_kb: args.u64_flag("size-kb", d.file_kb as u64) as u32,
-        cache_mb: args.u64_flag("cache-mb", d.cache_mb as u64) as u32,
+        tenants: args.count_flag("tenants", d.tenants),
+        files: args.count_flag("files", d.files),
+        rounds: args.u32_flag("rounds", d.rounds),
+        file_kb: args.count_flag("size-kb", d.file_kb),
+        cache_mb: args.u32_flag("cache-mb", d.cache_mb),
         seed: args.u64_flag("seed", d.seed),
     };
     let report = run_sync_study(world, cfg);

@@ -200,6 +200,12 @@ fn bad_flags_fail_cleanly() {
         ][..],
         // One past u32::MAX cases must not wrap to an empty, passing run.
         &["check", "--cases", "4294967296"],
+        // Zero counts and out-of-range sizes are usage errors, not panics
+        // or wrapped values.
+        &["sync", "--files", "0"],
+        &["sync", "--tenants", "0"],
+        &["sync", "--size-kb", "4294967296"],
+        &["plane", "--tenants", "0"],
     ] {
         let (_, err, ok) = detour(args);
         assert!(!ok, "{args:?}");
