@@ -16,7 +16,10 @@
 //!
 //! It also folds every post-event state digest into a running *chain
 //! digest*; two same-seed executions of the same scenario must produce the
-//! same chain, which is how [`crate::runner`] checks determinism.
+//! same chain, which is how [`crate::runner`] checks determinism. A
+//! chain-only oracle ([`InvariantOracle::chain_only`]) folds the same chain
+//! and checks nothing: the runner installs it on the re-executions whose
+//! chain must equal a fully checked one.
 
 use netsim::audit::{AuditHook, Digest};
 use netsim::engine::AuditView;
@@ -283,6 +286,9 @@ struct ShadowFlow {
 
 #[derive(Debug, Default)]
 struct OracleState {
+    /// Check the invariants after every event; `false` only folds the
+    /// chain (see [`InvariantOracle::chain_only`]).
+    checks: bool,
     violations: Vec<Violation>,
     /// Running chain of post-event state digests.
     chain: u64,
@@ -293,13 +299,153 @@ struct OracleState {
     /// (the hook callback fires mid-dispatch, before time has advanced past
     /// the delivery instant is accounted for).
     delivered: Vec<(u64, u64, SimTime)>,
+    /// Per-event scratch, kept across events instead of allocated for
+    /// each: rate sum per resource, indices of the active flows in the
+    /// view's flow list, and their allocator inputs
+    /// (`entries[..active.len()]`).
+    used: Vec<f64>,
+    active: Vec<usize>,
+    entries: Vec<AllocEntry>,
+}
+
+/// Record `v` unless the run already holds [`MAX_VIOLATIONS`].
+fn push_capped(violations: &mut Vec<Violation>, v: Violation) {
+    if violations.len() < MAX_VIOLATIONS {
+        violations.push(v);
+    }
 }
 
 impl OracleState {
-    fn push(&mut self, v: Violation) {
-        if self.violations.len() < MAX_VIOLATIONS {
-            self.violations.push(v);
+    /// The four invariants, checked against the state after one event.
+    fn check_invariants(&mut self, view: &AuditView<'_>) {
+        let OracleState {
+            violations,
+            prev_now_ns,
+            shadow,
+            delivered,
+            used,
+            active,
+            entries,
+            ..
+        } = self;
+        let now_ns = view.now().as_nanos();
+
+        // 1. Monotonicity.
+        if now_ns < *prev_now_ns {
+            push_capped(
+                violations,
+                Violation::TimeRegression {
+                    prev_ns: *prev_now_ns,
+                    now_ns,
+                },
+            );
         }
+
+        // 4a. Advance the shadow ledger across the elapsed interval using
+        // the rates that held *before* this event — the same
+        // piecewise-constant fluid model the engine integrates.
+        let dt = (now_ns.saturating_sub(*prev_now_ns)) as f64 * 1e-9;
+        if dt > 0.0 {
+            for s in shadow.values_mut() {
+                s.integrated += s.rate * dt;
+            }
+        }
+        *prev_now_ns = now_ns;
+
+        // 4b. Settle flows the engine reported delivered during this event.
+        for (flow, bytes, at) in delivered.drain(..) {
+            let integrated = shadow.remove(&flow).map(|s| s.integrated).unwrap_or(0.0);
+            let tol = (bytes as f64 * 1e-6).max(64.0);
+            if (integrated - bytes as f64).abs() > tol {
+                push_capped(
+                    violations,
+                    Violation::ByteConservation {
+                        flow,
+                        reported: bytes,
+                        integrated,
+                        at_ns: at.as_nanos(),
+                    },
+                );
+            }
+        }
+
+        let flows = view.flows();
+        let caps = view.resource_capacities();
+
+        // 2. Capacity: sum active rates per resource.
+        used.clear();
+        used.resize(caps.len(), 0.0);
+        for f in flows.iter().filter(|f| f.active) {
+            for &r in f.resources {
+                if let Some(u) = used.get_mut(r as usize) {
+                    *u += f.rate;
+                }
+            }
+        }
+        for (r, (&u, &cap)) in used.iter().zip(caps.iter()).enumerate() {
+            // Absolute slack of 1 byte/sec plus a relative term: the engine
+            // sums the same f64s, so genuine bugs overshoot by far more.
+            if u > cap + cap.abs() * REL_TOL + 1.0 {
+                push_capped(
+                    violations,
+                    Violation::OverAllocation {
+                        resource: r,
+                        used: u,
+                        cap,
+                        at_ns: now_ns,
+                    },
+                );
+            }
+        }
+
+        // 3. Fairness: recompute the allocation from the same inputs in the
+        // same (sorted-by-id) order the engine uses.
+        active.clear();
+        for (i, f) in flows.iter().enumerate().filter(|(_, f)| f.active) {
+            if active.len() == entries.len() {
+                entries.push(AllocEntry::new(Vec::new(), 0.0));
+            }
+            let e = &mut entries[active.len()];
+            e.resources.clear();
+            e.resources.extend_from_slice(f.resources);
+            e.cap = f.cap;
+            e.weight = f.weight;
+            active.push(i);
+        }
+        let want = max_min_allocate(&caps, &entries[..active.len()]);
+        for (f, &w) in active.iter().map(|&i| &flows[i]).zip(want.iter()) {
+            if (f.rate - w).abs() > w.abs().max(1.0) * REL_TOL.max(1e-9) + 1.0 {
+                push_capped(
+                    violations,
+                    Violation::UnfairAllocation {
+                        flow: f.id,
+                        got: f.rate,
+                        want: w,
+                        at_ns: now_ns,
+                    },
+                );
+            }
+        }
+
+        // 4c. Refresh the shadow rates for the next interval. Inactive flows
+        // (drained, awaiting their Delivered event) keep a stale engine-side
+        // rate; they no longer move bytes, so shadow at 0. `flows` is
+        // sorted by id, so dropping departed flows is a binary search each.
+        for f in &flows {
+            let entry = shadow.entry(f.id).or_default();
+            entry.rate = if f.active { f.rate } else { 0.0 };
+        }
+        shadow.retain(|id, _| flows.binary_search_by_key(id, |f| f.id).is_ok());
+    }
+
+    /// Determinism chain: fold this event's digest into the running hash.
+    fn fold_chain(&mut self, view: &AuditView<'_>) {
+        let mut d = Digest::new();
+        d.write_u64(self.chain);
+        d.write_u64(view.state_digest());
+        d.write_time(view.now());
+        self.chain = d.finish();
+        self.events_seen += 1;
     }
 }
 
@@ -323,7 +469,14 @@ impl OracleHandle {
 
     /// Record an externally detected violation (determinism, engine error).
     pub fn push(&self, v: Violation) {
-        self.state.borrow_mut().push(v);
+        push_capped(&mut self.state.borrow_mut().violations, v);
+    }
+
+    /// Does the oracle check invariants, or only fold the chain? Processes
+    /// that run checks of their own (the sync sessions' patch verification)
+    /// skip them under a chain-only oracle too.
+    pub fn checks(&self) -> bool {
+        self.state.borrow().checks
     }
 
     /// The execution's chained state digest.
@@ -345,7 +498,23 @@ pub struct InvariantOracle {
 impl InvariantOracle {
     /// Create an oracle and the handle used to read its findings back.
     pub fn new() -> (InvariantOracle, OracleHandle) {
-        let state = Rc::new(RefCell::new(OracleState::default()));
+        Self::with_checks(true)
+    }
+
+    /// An oracle that only folds the chain digest: no shadow ledger, no
+    /// capacity sum, no fairness re-allocation. Its chain is bit-identical
+    /// to a full oracle's on the same execution. A re-execution whose chain
+    /// equals a fully checked one passed through the same state after
+    /// every event, so re-checking those states would find nothing new.
+    pub fn chain_only() -> (InvariantOracle, OracleHandle) {
+        Self::with_checks(false)
+    }
+
+    fn with_checks(checks: bool) -> (InvariantOracle, OracleHandle) {
+        let state = Rc::new(RefCell::new(OracleState {
+            checks,
+            ..OracleState::default()
+        }));
         (
             InvariantOracle {
                 state: Rc::clone(&state),
@@ -358,110 +527,17 @@ impl InvariantOracle {
 impl AuditHook for InvariantOracle {
     fn after_event(&mut self, view: &AuditView<'_>) {
         let mut st = self.state.borrow_mut();
-        let st = &mut *st;
-        let now_ns = view.now().as_nanos();
-
-        // 1. Monotonicity.
-        if now_ns < st.prev_now_ns {
-            st.push(Violation::TimeRegression {
-                prev_ns: st.prev_now_ns,
-                now_ns,
-            });
+        if st.checks {
+            st.check_invariants(view);
         }
-
-        // 4a. Advance the shadow ledger across the elapsed interval using
-        // the rates that held *before* this event — the same
-        // piecewise-constant fluid model the engine integrates.
-        let dt = (now_ns.saturating_sub(st.prev_now_ns)) as f64 * 1e-9;
-        if dt > 0.0 {
-            for s in st.shadow.values_mut() {
-                s.integrated += s.rate * dt;
-            }
-        }
-        st.prev_now_ns = now_ns;
-
-        // 4b. Settle flows the engine reported delivered during this event.
-        for (flow, bytes, at) in st.delivered.drain(..) {
-            let integrated = st.shadow.remove(&flow).map(|s| s.integrated).unwrap_or(0.0);
-            let tol = (bytes as f64 * 1e-6).max(64.0);
-            if (integrated - bytes as f64).abs() > tol && st.violations.len() < MAX_VIOLATIONS {
-                st.violations.push(Violation::ByteConservation {
-                    flow,
-                    reported: bytes,
-                    integrated,
-                    at_ns: at.as_nanos(),
-                });
-            }
-        }
-
-        let flows = view.flows();
-        let caps = view.resource_capacities();
-
-        // 2. Capacity: sum active rates per resource.
-        let mut used = vec![0.0_f64; caps.len()];
-        for f in flows.iter().filter(|f| f.active) {
-            for &r in f.resources {
-                if let Some(u) = used.get_mut(r as usize) {
-                    *u += f.rate;
-                }
-            }
-        }
-        for (r, (&u, &cap)) in used.iter().zip(caps.iter()).enumerate() {
-            // Absolute slack of 1 byte/sec plus a relative term: the engine
-            // sums the same f64s, so genuine bugs overshoot by far more.
-            if u > cap + cap.abs() * REL_TOL + 1.0 {
-                st.push(Violation::OverAllocation {
-                    resource: r,
-                    used: u,
-                    cap,
-                    at_ns: now_ns,
-                });
-            }
-        }
-
-        // 3. Fairness: recompute the allocation from the same inputs in the
-        // same (sorted-by-id) order the engine uses.
-        let active: Vec<_> = flows.iter().filter(|f| f.active).collect();
-        let entries: Vec<AllocEntry> = active
-            .iter()
-            .map(|f| AllocEntry {
-                resources: f.resources.to_vec(),
-                cap: f.cap,
-                weight: f.weight,
-            })
-            .collect();
-        let want = max_min_allocate(&caps, &entries);
-        for (f, &w) in active.iter().zip(want.iter()) {
-            if (f.rate - w).abs() > w.abs().max(1.0) * REL_TOL.max(1e-9) + 1.0 {
-                st.push(Violation::UnfairAllocation {
-                    flow: f.id,
-                    got: f.rate,
-                    want: w,
-                    at_ns: now_ns,
-                });
-            }
-        }
-
-        // 4c. Refresh the shadow rates for the next interval. Inactive flows
-        // (drained, awaiting their Delivered event) keep a stale engine-side
-        // rate; they no longer move bytes, so shadow at 0.
-        for f in &flows {
-            let entry = st.shadow.entry(f.id).or_default();
-            entry.rate = if f.active { f.rate } else { 0.0 };
-        }
-        st.shadow.retain(|id, _| flows.iter().any(|f| f.id == *id));
-
-        // Determinism chain: fold this event's digest into the running hash.
-        let mut d = Digest::new();
-        d.write_u64(st.chain);
-        d.write_u64(view.state_digest());
-        d.write_time(view.now());
-        st.chain = d.finish();
-        st.events_seen += 1;
+        st.fold_chain(view);
     }
 
     fn flow_delivered(&mut self, flow: u64, bytes: u64, now: SimTime) {
-        self.state.borrow_mut().delivered.push((flow, bytes, now));
+        let mut st = self.state.borrow_mut();
+        if st.checks {
+            st.delivered.push((flow, bytes, now));
+        }
     }
 }
 
@@ -517,6 +593,60 @@ mod tests {
             handle.chain_digest()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn chain_only_oracle_folds_the_same_chain_and_checks_nothing() {
+        let run = |(oracle, handle): (InvariantOracle, OracleHandle)| {
+            let (topo, a, z) = two_host_world();
+            let mut sim = Sim::new(topo, 7);
+            sim.set_audit_hook(Box::new(oracle));
+            sim.run_transfer(TransferRequest::new(a, z, 2 * MB))
+                .unwrap();
+            handle
+        };
+        let full = run(InvariantOracle::new());
+        let cheap = run(InvariantOracle::chain_only());
+        assert!(full.checks() && !cheap.checks());
+        assert_eq!(full.chain_digest(), cheap.chain_digest());
+        assert_eq!(full.events_seen(), cheap.events_seen());
+        let st = cheap.state.borrow();
+        assert!(st.shadow.is_empty() && st.delivered.is_empty() && st.entries.is_empty());
+    }
+
+    #[test]
+    fn cancelled_flows_leave_the_shadow_ledger() {
+        // A cancelled flow is never delivered, so only the sweep against
+        // the engine's live flows can drop its shadow entry.
+        struct CancelOne {
+            a: NodeId,
+            z: NodeId,
+            victim: Option<FlowId>,
+        }
+        impl Process for CancelOne {
+            fn poll(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+                match ev {
+                    Event::Started => {
+                        let spec =
+                            |bytes| FlowSpec::new(self.a, self.z, bytes, FlowClass::Commodity);
+                        self.victim = ctx.start_flow(spec(100 * MB)).ok();
+                        ctx.start_flow(spec(4 * MB)).unwrap();
+                        ctx.set_timer(SimTime::from_millis(500), 0);
+                    }
+                    Event::Timer { .. } => ctx.cancel_flow(self.victim.take().unwrap()),
+                    Event::FlowCompleted { .. } => ctx.finish(Value::None),
+                    _ => {}
+                }
+            }
+        }
+        let (topo, a, z) = two_host_world();
+        let mut sim = Sim::new(topo, 3);
+        let (oracle, handle) = InvariantOracle::new();
+        sim.set_audit_hook(Box::new(oracle));
+        sim.run_process(Box::new(CancelOne { a, z, victim: None }))
+            .unwrap();
+        assert_eq!(handle.violations(), vec![]);
+        assert!(handle.state.borrow().shadow.is_empty());
     }
 
     #[test]

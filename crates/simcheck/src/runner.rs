@@ -5,6 +5,16 @@
 //! demanding the axis's compared digest be bit-identical to the first
 //! execution's (see [`check_case_at`]).
 //!
+//! A check checks once and compares cheaply. The first execution runs the
+//! full oracle and records every sync leg's rsync results (wire plan and
+//! chunk manifest) in a per-case memo. The re-runs that must reproduce its
+//! chain digest install a chain-only oracle, since an equal chain means
+//! every post-event state was already checked, and all of them but the
+//! same-options repeat reuse the memo for legs whose basis and target are
+//! byte-equal to the recorded ones. The chunk-bypass re-run, whose chain
+//! legitimately differs, keeps the full oracle. [`run_once`] and
+//! [`run_sharded`] always run the full oracle and compute rsync afresh.
+//!
 //! A scenario is a list of independent *cells* ([`ScenarioSpec::cells`]):
 //! single-replica scenarios are one cell, replicated ones are several.
 //! [`run_once`] folds the cells sequentially; [`run_sharded`] runs the same
@@ -27,6 +37,7 @@ use relay::ChunkStore;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 use transfer::chunk::ChunkManifest;
 use transfer::delta::{compute_delta, Delta};
 use transfer::patch::apply_delta;
@@ -105,8 +116,9 @@ pub struct CaseResult {
     /// The scenario that was run.
     pub spec: ScenarioSpec,
     /// All violations: the first execution's, then one
-    /// [`Violation::Divergence`] per diverging axis in axis order, then
-    /// any plane-coherence divergences.
+    /// [`Violation::Divergence`] per diverging axis in axis order (the
+    /// chunk-bypass execution's own violations follow its axis), then any
+    /// plane-coherence divergences.
     pub violations: Vec<Violation>,
     /// Events processed by the first execution.
     pub events: u64,
@@ -307,7 +319,7 @@ struct ResolvedSync {
 }
 
 impl ResolvedSync {
-    fn build(&self, oracle: OracleHandle, ledger: SyncLedger) -> SyncSession {
+    fn build(&self, oracle: OracleHandle, ledger: SyncLedger, memo: LegMemo) -> SyncSession {
         let cfg = SyncPopulationConfig {
             files: self.files,
             file_len: self.file_len,
@@ -330,10 +342,10 @@ impl ResolvedSync {
             store: self.store.clone(),
             ledger,
             oracle,
+            memo,
             pass: 0,
             file_idx: 0,
             pending: None,
-            pending_manifest: None,
         }
     }
 }
@@ -391,14 +403,110 @@ fn resolve_sync(
     (sync, store_order)
 }
 
+/// Identifies one sync leg of a case: file `file` of session `session` in
+/// cell `cell`, synced on pass `pass`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct LegKey {
+    cell: u32,
+    session: u32,
+    file: u32,
+    pass: u32,
+}
+
+/// The pure rsync results of one landed sync leg, with the target bytes
+/// they were computed for. The leg's basis is the target of the same
+/// file's previous leg (empty on pass 0), so it is not stored twice.
+struct LegRecord {
+    target: Vec<u8>,
+    plan: RsyncWirePlan,
+    /// `None` when the recording execution had no chunk store.
+    manifest: Option<ChunkManifest>,
+}
+
+/// Per-case rsync memo: every leg the first execution of a check landed,
+/// frozen read-only after it and shared (behind an `Arc`) with the
+/// re-executions and their shard workers. rsync output depends only on
+/// the `(basis, target)` bytes, so a re-executed leg whose basis and
+/// target are byte-equal to a recorded leg's reuses its wire plan and
+/// manifest instead of recomputing them; any other leg computes fresh.
+struct RsyncMemo {
+    legs: HashMap<LegKey, LegRecord>,
+    /// Lookups that missed and hit.
+    #[cfg(test)]
+    lookups: [std::sync::atomic::AtomicU64; 2],
+}
+
+impl RsyncMemo {
+    fn new(legs: Vec<(LegKey, LegRecord)>) -> Self {
+        RsyncMemo {
+            legs: legs.into_iter().collect(),
+            #[cfg(test)]
+            lookups: Default::default(),
+        }
+    }
+
+    /// The recorded leg `key`, if its basis and target are byte-equal to
+    /// `basis` and `target` and it has a manifest whenever one `needs` it.
+    fn lookup(
+        &self,
+        key: LegKey,
+        basis: &[u8],
+        target: &[u8],
+        needs_manifest: bool,
+    ) -> Option<&LegRecord> {
+        let recorded_basis = match key.pass.checked_sub(1) {
+            None => Some(&[][..]),
+            Some(pass) => self
+                .legs
+                .get(&LegKey { pass, ..key })
+                .map(|r| &r.target[..]),
+        };
+        let hit = self.legs.get(&key).filter(|r| {
+            recorded_basis == Some(basis)
+                && r.target == target
+                && (r.manifest.is_some() || !needs_manifest)
+        });
+        #[cfg(test)]
+        self.lookups[hit.is_some() as usize].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        hit
+    }
+}
+
+/// Where a sync session's rsync results come from and go to.
+#[derive(Clone)]
+enum LegMemo {
+    /// Compute every leg fresh.
+    Off,
+    /// Compute fresh and append each landed leg to the cell's list.
+    Record {
+        cell: u32,
+        legs: Rc<RefCell<Vec<(LegKey, LegRecord)>>>,
+    },
+    /// Reuse byte-equal recorded legs; compute fresh on a miss.
+    Replay { cell: u32, memo: Arc<RsyncMemo> },
+}
+
+/// A sync leg in flight, installed at the relay when its flow completes.
+struct PendingLeg {
+    /// The client's content.
+    target: Vec<u8>,
+    plan: RsyncWirePlan,
+    /// The delta to verify on landing: `None` for a memo hit (verified when
+    /// it was recorded) or under a chain-only oracle (checks nothing).
+    delta: Option<Delta>,
+    /// Manifest to admit to the store once the bytes arrive.
+    manifest: Option<ChunkManifest>,
+}
+
 /// One delta-sync session: replicate the population to the relay (pass 0),
 /// then advance it one mutation round per pass and rsync every file. Each
 /// file transfer moves exactly the bytes the real exchange would — the
 /// exact [`RsyncWirePlan`] with the delta leg re-priced through the chunk
 /// store when one is attached — and on completion the delta is *actually
 /// applied* to the relay's copy and verified byte-for-byte
-/// ([`Violation::SyncIntegrity`] on mismatch). Finishes with the digest of
-/// the delivered files.
+/// ([`Violation::SyncIntegrity`] on mismatch) when the oracle checks and
+/// the delta was computed afresh. Finishes with the digest of the
+/// delivered files.
 struct SyncSession {
     session: u32,
     client: NodeId,
@@ -410,14 +518,12 @@ struct SyncSession {
     store: Option<Rc<RefCell<ChunkStore>>>,
     ledger: SyncLedger,
     oracle: OracleHandle,
+    memo: LegMemo,
     /// 0 = initial replication, then one mutation round per pass.
     pass: u32,
     file_idx: usize,
-    /// Client content in flight (installed when the flow completes) and
-    /// its delta against the relay's copy, computed once in `kick`.
-    pending: Option<(Vec<u8>, Delta)>,
-    /// Manifest to admit to the store once the bytes arrive.
-    pending_manifest: Option<ChunkManifest>,
+    /// The leg `kick` started, computed once there.
+    pending: Option<PendingLeg>,
 }
 
 impl SyncSession {
@@ -436,19 +542,39 @@ impl SyncSession {
             self.pop.advance();
         }
         let f = self.file_idx;
-        let local = self.pop.file(f).to_vec();
-        let sig = Signature::compute(&self.remote[f], SYNC_BLOCK_SIZE);
-        let delta = compute_delta(&sig, &local);
-        let plan = RsyncWirePlan::from_parts(&sig, &delta);
-        let mut shipped = plan.delta_bytes;
-        if let Some(store) = &self.store {
-            let manifest = ChunkManifest::of(&local, SYNC_CHUNK_SIZE);
-            let dedup = store.borrow_mut().plan(&manifest);
-            shipped = dedup.shipped_bytes(plan.delta_bytes);
-            self.pending_manifest = Some(manifest);
+        let target = self.pop.file(f).to_vec();
+        let basis = &self.remote[f];
+        let recorded = match &self.memo {
+            LegMemo::Replay { cell, memo } => {
+                memo.lookup(self.leg_key(*cell), basis, &target, self.store.is_some())
+            }
+            LegMemo::Off | LegMemo::Record { .. } => None,
+        };
+        let leg = match recorded {
+            Some(r) => PendingLeg {
+                plan: r.plan,
+                delta: None,
+                manifest: self.store.as_ref().and_then(|_| r.manifest.clone()),
+                target,
+            },
+            None => {
+                let sig = Signature::compute(basis, SYNC_BLOCK_SIZE);
+                let delta = compute_delta(&sig, &target);
+                PendingLeg {
+                    plan: RsyncWirePlan::from_parts(&sig, &delta),
+                    delta: self.oracle.checks().then_some(delta),
+                    manifest: (self.store.as_ref())
+                        .map(|_| ChunkManifest::of(&target, SYNC_CHUNK_SIZE)),
+                    target,
+                }
+            }
+        };
+        let mut shipped = leg.plan.delta_bytes;
+        if let (Some(store), Some(m)) = (&self.store, &leg.manifest) {
+            shipped = store.borrow_mut().plan(m).shipped_bytes(shipped);
         }
-        let wire = plan.total_bytes() - plan.delta_bytes + shipped;
-        self.pending = Some((local, delta));
+        let wire = leg.plan.total_bytes() - leg.plan.delta_bytes + shipped;
+        self.pending = Some(leg);
         let spec = FlowSpec::new(self.client, self.relay, wire.max(1), FlowClass::Commodity);
         if ctx.start_flow(spec).is_err() {
             self.oracle.push(Violation::EngineError {
@@ -462,27 +588,47 @@ impl SyncSession {
     /// (the basis only changes here, so the delta still applies) and verify
     /// it reconstructs the client's bytes.
     fn land(&mut self, ctx: &mut Ctx<'_>) {
-        let (local, delta) = self.pending.take().expect(
+        let leg = self.pending.take().expect(
             "land runs only on the FlowCompleted of the single flow kick started, \
              and kick sets pending before start_flow",
         );
         let f = self.file_idx;
-        let ok = matches!(
-            apply_delta(&self.remote[f], SYNC_BLOCK_SIZE, &delta), Ok(p) if p == local
-        );
-        if !ok {
-            self.oracle.push(Violation::SyncIntegrity {
-                session: self.session,
-                file: f as u32,
-                round: self.pass,
-            });
+        if let Some(delta) = &leg.delta {
+            let ok = matches!(
+                apply_delta(&self.remote[f], SYNC_BLOCK_SIZE, delta), Ok(p) if p == leg.target
+            );
+            if !ok {
+                self.oracle.push(Violation::SyncIntegrity {
+                    session: self.session,
+                    file: f as u32,
+                    round: self.pass,
+                });
+            }
         }
-        if let (Some(store), Some(m)) = (&self.store, self.pending_manifest.take()) {
-            store.borrow_mut().admit(&m);
+        if let (Some(store), Some(m)) = (&self.store, &leg.manifest) {
+            store.borrow_mut().admit(m);
         }
-        self.remote[f] = local;
+        if let LegMemo::Record { cell, legs } = &self.memo {
+            let record = LegRecord {
+                target: leg.target.clone(),
+                plan: leg.plan,
+                manifest: leg.manifest,
+            };
+            legs.borrow_mut().push((self.leg_key(*cell), record));
+        }
+        self.remote[f] = leg.target;
         self.file_idx += 1;
         self.kick(ctx);
+    }
+
+    /// The memo key of the current leg.
+    fn leg_key(&self, cell: u32) -> LegKey {
+        LegKey {
+            cell,
+            session: self.session,
+            file: self.file_idx as u32,
+            pass: self.pass,
+        }
     }
 }
 
@@ -509,7 +655,7 @@ impl Process for SyncSession {
         d.write_u64(self.pass as u64);
         d.write_u64(self.file_idx as u64);
         d.write_u64(self.remote.iter().map(|f| f.len() as u64).sum());
-        d.write_u64(self.pending.as_ref().map_or(0, |(p, _)| p.len() as u64));
+        d.write_u64(self.pending.as_ref().map_or(0, |p| p.target.len() as u64));
     }
 }
 
@@ -534,6 +680,7 @@ struct Driver {
     sync: Vec<ResolvedSync>,
     ledger: SyncLedger,
     oracle: OracleHandle,
+    memo: LegMemo,
     /// Live chaos sessions: child pid → (index, started, bound).
     chaos_watch: HashMap<ProcessId, (u32, SimTime, SimTime)>,
     outstanding: u64,
@@ -590,7 +737,11 @@ impl Process for Driver {
             }
             Event::Timer { tag } => {
                 let k = tag as usize - self.jobs.len() - self.chaos.len();
-                let session = self.sync[k].build(self.oracle.clone(), Rc::clone(&self.ledger));
+                let session = self.sync[k].build(
+                    self.oracle.clone(),
+                    Rc::clone(&self.ledger),
+                    self.memo.clone(),
+                );
                 ctx.spawn(Box::new(session));
             }
             Event::FlowCompleted { .. } => self.settle_one(ctx, true),
@@ -696,8 +847,7 @@ impl ChurnGen {
 /// common single-cell scenario the fold is the identity, so this is
 /// byte-for-byte the pre-sharding behavior.
 pub fn run_once(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
-    let outs = spec.cells().iter().map(|c| run_cell(c, opts)).collect();
-    merge_outcomes(outs)
+    run_cells(spec, opts, Exec::FULL).0
 }
 
 /// Execute a scenario under the sharded executor: its cells run on up to
@@ -706,7 +856,70 @@ pub fn run_once(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
 /// to [`run_once`] for every scenario and worker count — [`check_case`]
 /// proves it per case along [`Axis::Shard`].
 pub fn run_sharded(spec: &ScenarioSpec, opts: RunOptions, workers: usize) -> RunOutcome {
-    let outs = netsim::shard::run_shards(spec.cells(), workers, |_, cell| run_cell(&cell, opts));
+    run_cells_sharded(spec, opts, workers, Exec::FULL)
+}
+
+/// How one execution is audited and where its sync legs' rsync results
+/// come from. The public [`run_once`] and [`run_sharded`] run
+/// [`Exec::FULL`]; [`check_case_at`] picks one per execution.
+#[derive(Clone, Copy)]
+struct Exec<'m> {
+    /// Full invariant oracle (`false`: [`InvariantOracle::chain_only`]).
+    checks: bool,
+    memo: Memo<'m>,
+}
+
+#[derive(Clone, Copy)]
+enum Memo<'m> {
+    /// Compute every sync leg fresh.
+    Off,
+    /// Compute fresh and record every landed leg for an [`RsyncMemo`].
+    Record,
+    /// Reuse the byte-equal legs of a frozen memo.
+    Replay(&'m Arc<RsyncMemo>),
+}
+
+impl Exec<'_> {
+    /// Every invariant checked, nothing memoised.
+    const FULL: Exec<'static> = Exec {
+        checks: true,
+        memo: Memo::Off,
+    };
+
+    /// A check's first execution: every invariant checked, every landed
+    /// sync leg recorded for the re-runs.
+    const FIRST: Exec<'static> = Exec {
+        checks: true,
+        memo: Memo::Record,
+    };
+}
+
+/// [`run_once`] under `exec`, also returning the legs it recorded (empty
+/// unless `exec` records).
+fn run_cells(
+    spec: &ScenarioSpec,
+    opts: RunOptions,
+    exec: Exec<'_>,
+) -> (RunOutcome, Vec<(LegKey, LegRecord)>) {
+    let (outs, legs): (Vec<_>, Vec<_>) = spec
+        .cells()
+        .iter()
+        .enumerate()
+        .map(|(i, c)| run_cell(c, i as u32, opts, exec))
+        .unzip();
+    (merge_outcomes(outs), legs.into_iter().flatten().collect())
+}
+
+/// [`run_sharded`] under `exec`.
+fn run_cells_sharded(
+    spec: &ScenarioSpec,
+    opts: RunOptions,
+    workers: usize,
+    exec: Exec<'_>,
+) -> RunOutcome {
+    let outs = netsim::shard::run_shards(spec.cells(), workers, |i, cell| {
+        run_cell(&cell, i as u32, opts, exec).0
+    });
     merge_outcomes(outs)
 }
 
@@ -749,8 +962,14 @@ fn merge_outcomes(outs: Vec<RunOutcome>) -> RunOutcome {
     }
 }
 
-/// Execute one cell (a single-replica world) under the oracle.
-fn run_cell(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
+/// Execute cell number `cell` (a single-replica world) under the oracle;
+/// also returns the sync legs it recorded.
+fn run_cell(
+    spec: &ScenarioSpec,
+    cell: u32,
+    opts: RunOptions,
+    exec: Exec<'_>,
+) -> (RunOutcome, Vec<(LegKey, LegRecord)>) {
     let world = build_world(&spec.topo);
     let mut sim = Sim::new(world.topo.clone(), spec.seed);
     if opts.health {
@@ -817,8 +1036,24 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
     #[cfg(not(feature = "failpoints"))]
     let _ = opts.rate_inflation;
 
-    let (oracle, handle) = InvariantOracle::new();
+    let (oracle, handle) = if exec.checks {
+        InvariantOracle::new()
+    } else {
+        InvariantOracle::chain_only()
+    };
     sim.set_audit_hook(Box::new(oracle));
+    let recorded = Rc::new(RefCell::new(Vec::new()));
+    let memo = match exec.memo {
+        Memo::Off => LegMemo::Off,
+        Memo::Record => LegMemo::Record {
+            cell,
+            legs: Rc::clone(&recorded),
+        },
+        Memo::Replay(memo) => LegMemo::Replay {
+            cell,
+            memo: Arc::clone(memo),
+        },
+    };
 
     let jobs = resolve_hosts(spec, &world.hosts);
     let chaos = resolve_chaos(spec, &world.hosts);
@@ -831,6 +1066,7 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
         sync,
         ledger: Rc::clone(&ledger),
         oracle: handle.clone(),
+        memo,
         chaos_watch: HashMap::new(),
         outstanding: 0,
         completed: 0,
@@ -872,14 +1108,15 @@ fn run_cell(spec: &ScenarioSpec, opts: RunOptions) -> RunOutcome {
         }
         d.finish()
     });
-    finish_outcome(
+    let outcome = finish_outcome(
         &sim,
         &handle,
         jobs_completed,
         health,
         store_digest,
         sync_digest,
-    )
+    );
+    (outcome, recorded.take())
 }
 
 /// Digest the run's derived health-plane state: the route scoreboard built
@@ -1084,6 +1321,31 @@ impl Axis {
         Some(forced)
     }
 
+    /// How the re-execution along this axis runs, given the first
+    /// execution's rsync memo. Only [`Axis::Chunk`] keeps the full oracle:
+    /// the bypass changes wire timing, so its chain differs from the first
+    /// execution's and nothing else checks the states it passes through.
+    /// Every other axis must reproduce the first chain, and an equal chain
+    /// means the same state after every event, which the first execution
+    /// already checked. [`Axis::Repeat`] computes rsync afresh, so it still
+    /// proves rsync deterministic; the others replay the memo.
+    fn exec(self, memo: &Arc<RsyncMemo>) -> Exec<'_> {
+        match self {
+            Axis::Repeat => Exec {
+                checks: false,
+                memo: Memo::Off,
+            },
+            Axis::Chunk => Exec {
+                checks: true,
+                memo: Memo::Replay(memo),
+            },
+            Axis::Allocator | Axis::Progress | Axis::Routing | Axis::Shard { .. } => Exec {
+                checks: false,
+                memo: Memo::Replay(memo),
+            },
+        }
+    }
+
     /// Compare a re-execution along this axis with the first execution:
     /// the delivered-bytes digest for [`Axis::Chunk`] (the bypass changes
     /// wire timing and therefore the chain), the chained digest otherwise.
@@ -1109,6 +1371,14 @@ impl Axis {
 /// each re-run whose compared digest differs from the first execution's.
 /// Axes whose flag the caller already forced in `opts` are skipped. The
 /// route-plane coherence check ([`check_plane_coherence`]) runs last.
+///
+/// Only the first execution checks every invariant and verifies every
+/// applied delta. The re-runs that must reproduce its chain fold the chain
+/// only ([`InvariantOracle::chain_only`]); the chunk-bypass re-run keeps
+/// the full oracle and its violations follow its divergence. The first
+/// execution also records each sync leg's rsync results in a per-case
+/// memo, which every re-run but [`Axis::Repeat`] reuses for legs with
+/// byte-equal inputs, so the repeat still proves rsync deterministic.
 pub fn check_case_at(spec: &ScenarioSpec, opts: RunOptions, shard_workers: &[usize]) -> CaseResult {
     // Health folding is forced on so every determinism and differential
     // comparison also covers the aggregation/health plane.
@@ -1116,7 +1386,8 @@ pub fn check_case_at(spec: &ScenarioSpec, opts: RunOptions, shard_workers: &[usi
         health: true,
         ..opts
     };
-    let first = run_once(spec, opts);
+    let (first, legs) = run_cells(spec, opts, Exec::FIRST);
+    let memo = Arc::new(RsyncMemo::new(legs));
     let mut violations = first.violations.clone();
     let shards = shard_workers
         .iter()
@@ -1129,13 +1400,17 @@ pub fn check_case_at(spec: &ScenarioSpec, opts: RunOptions, shard_workers: &[usi
         let Some(rerun) = axis.options(opts) else {
             continue;
         };
+        let exec = axis.exec(&memo);
         // Compare each re-run and drop it before the next one starts;
         // holding every outcome at once would raise peak memory.
         let other = match axis {
-            Axis::Shard { workers } => run_sharded(spec, rerun, workers as usize),
-            _ => run_once(spec, rerun),
+            Axis::Shard { workers } => run_cells_sharded(spec, rerun, workers as usize, exec),
+            _ => run_cells(spec, rerun, exec).0,
         };
         violations.extend(axis.compare(&first, &other));
+        if exec.checks {
+            violations.extend(other.violations);
+        }
     }
     violations.extend(check_plane_coherence(spec));
     CaseResult {
@@ -1634,6 +1909,158 @@ mod tests {
                 .any(|v| matches!(v, Violation::PlaneDivergence { .. })),
             "skewed verification produced no divergence"
         );
+    }
+
+    /// Checking options: health folding on, as [`check_case_at`] forces.
+    fn health() -> RunOptions {
+        RunOptions {
+            health: true,
+            ..Default::default()
+        }
+    }
+
+    /// The first execution of a check, with its frozen rsync memo.
+    fn recorded(spec: &ScenarioSpec) -> (RunOutcome, Arc<RsyncMemo>) {
+        let (first, legs) = run_cells(spec, health(), Exec::FIRST);
+        (first, Arc::new(RsyncMemo::new(legs)))
+    }
+
+    /// Memo lookups so far: (misses, hits).
+    fn lookups(memo: &RsyncMemo) -> (u64, u64) {
+        let [miss, hit] = &memo.lookups;
+        use std::sync::atomic::Ordering::Relaxed;
+        (miss.load(Relaxed), hit.load(Relaxed))
+    }
+
+    /// Re-run `spec` along `axis` the way [`check_case_at`] does.
+    fn rerun(spec: &ScenarioSpec, axis: Axis, exec: Exec<'_>) -> RunOutcome {
+        let opts = axis.options(health()).expect("not forced");
+        match axis {
+            Axis::Shard { workers } => run_cells_sharded(spec, opts, workers as usize, exec),
+            _ => run_cells(spec, opts, exec).0,
+        }
+    }
+
+    /// Every re-run axis that replays the memo.
+    const REPLAY_AXES: [Axis; 7] = [
+        Axis::Allocator,
+        Axis::Progress,
+        Axis::Routing,
+        Axis::Shard { workers: 1 },
+        Axis::Shard { workers: 2 },
+        Axis::Shard { workers: 4 },
+        Axis::Chunk,
+    ];
+
+    #[test]
+    fn chain_only_oracle_folds_the_full_oracles_chain() {
+        let chain_only = Exec {
+            checks: false,
+            memo: Memo::Off,
+        };
+        for spec in [
+            ScenarioSpec::generate(case_seed(7, 0)),
+            ScenarioSpec::generate_chaos(case_seed(11, 0)),
+            ScenarioSpec::generate_sync(case_seed(13, 0)),
+        ] {
+            let full = run_cells(&spec, health(), Exec::FULL).0;
+            let cheap = run_cells(&spec, health(), chain_only).0;
+            assert_eq!(full.chain_digest, cheap.chain_digest, "{spec:?}");
+            assert_eq!(full.sync_digest, cheap.sync_digest, "{spec:?}");
+            assert_eq!(full.events, cheap.events, "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn memo_replay_reproduces_fresh_executions() {
+        // Replicated, so legs of several cells share the memo, and the
+        // sharded re-runs read it from worker threads.
+        let mut spec = ScenarioSpec::generate_sync(case_seed(13, 1));
+        spec.replicas = 2;
+        let (first, memo) = recorded(&spec);
+        assert_eq!(first.violations, vec![]);
+        for axis in REPLAY_AXES {
+            let fresh = rerun(&spec, axis, Exec::FULL);
+            let replayed = rerun(&spec, axis, axis.exec(&memo));
+            assert_eq!(fresh.chain_digest, replayed.chain_digest, "{axis:?}");
+            assert_eq!(fresh.sync_digest, replayed.sync_digest, "{axis:?}");
+            assert_eq!(fresh.violations, replayed.violations, "{axis:?}");
+        }
+    }
+
+    #[test]
+    fn every_rerun_leg_is_a_memo_hit() {
+        let mut spec = ScenarioSpec::generate_sync(case_seed(13, 2));
+        spec.replicas = 2;
+        let (_, memo) = recorded(&spec);
+        let legs = memo.legs.len() as u64;
+        assert!(legs > 0);
+        for axis in REPLAY_AXES {
+            rerun(&spec, axis, axis.exec(&memo));
+        }
+        assert_eq!(lookups(&memo), (0, legs * REPLAY_AXES.len() as u64));
+        // The repeat re-run computes rsync afresh: it never reads the memo.
+        rerun(&spec, Axis::Repeat, Axis::Repeat.exec(&memo));
+        assert_eq!(lookups(&memo), (0, legs * REPLAY_AXES.len() as u64));
+    }
+
+    #[test]
+    fn legs_whose_inputs_changed_miss_the_memo() {
+        let spec = ScenarioSpec::generate_sync(case_seed(13, 3));
+        let (first, mut legs) = run_cells(&spec, health(), Exec::FIRST);
+        // One byte of a pass-0 target changes: that leg's target and the
+        // next pass's basis no longer match, so exactly those two lookups
+        // miss. Both plans are inflated, so a wrongful hit would ship a
+        // different number of bytes and change the chain.
+        let k0 = legs[0].0;
+        assert_eq!(k0.pass, 0);
+        let k1 = LegKey { pass: 1, ..k0 };
+        for (key, leg) in &mut legs {
+            if *key == k0 || *key == k1 {
+                leg.plan.delta_bytes += 1 << 20;
+            }
+            if *key == k0 {
+                leg.target[0] ^= 1;
+            }
+        }
+        let memo = Arc::new(RsyncMemo::new(legs));
+        assert!(memo.legs.contains_key(&k1));
+        let other = rerun(&spec, Axis::Allocator, Axis::Allocator.exec(&memo));
+        assert_eq!(lookups(&memo), (2, memo.legs.len() as u64 - 2));
+        assert_eq!(other.chain_digest, first.chain_digest);
+        assert_eq!(other.sync_digest, first.sync_digest);
+    }
+
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn chunk_bypass_violations_are_reported() {
+        // The bypass re-run's chain differs from the first execution's, so
+        // its own invariant violations must reach the case result, after
+        // the first execution's.
+        let spec = ScenarioSpec::generate_sync(case_seed(13, 4));
+        let inflated = RunOptions {
+            rate_inflation: Some(1.5),
+            ..health()
+        };
+        let first = run_once(&spec, inflated);
+        let bypass = run_once(
+            &spec,
+            RunOptions {
+                chunk_bypass: true,
+                ..inflated
+            },
+        );
+        assert!(bypass
+            .violations
+            .iter()
+            .any(|v| matches!(v, Violation::OverAllocation { .. })));
+        let res = check_case(&spec, inflated);
+        let want: Vec<_> = first
+            .violations
+            .into_iter()
+            .chain(bypass.violations)
+            .collect();
+        assert_eq!(res.violations, want);
     }
 
     #[cfg(feature = "failpoints")]
