@@ -1338,7 +1338,7 @@ fn main() {
         let path = workspace_path(&path);
         match std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
-            .and_then(|s| Json::parse(&s))
+            .and_then(|s| Json::parse(&s).map_err(|e| e.to_string()))
         {
             Ok(baseline) => {
                 for err in check_baseline(&report, &baseline) {

@@ -473,6 +473,45 @@ mod tests {
     }
 
     #[test]
+    fn tiny_study_bytes_are_pinned() {
+        // Every byte field of every row and the store's counters, recorded
+        // when wire plans still priced a fully built delta: pricing from
+        // the scan alone must not move a byte.
+        let world = NorthAmerica::new();
+        let report = run_sync_study(&world, tiny());
+        let rows: Vec<_> = (report.rows.iter())
+            .map(|r| {
+                (
+                    (r.tenant, r.round, r.changed_files),
+                    [r.full_bytes, r.fresh_wire, r.delta_wire, r.sync_wire],
+                    (r.hit_chunks, r.total_chunks),
+                )
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ((0, 0, 2), [786432, 787149, 787866, 787866], (0, 96)),
+                ((1, 0, 2), [786432, 787149, 787866, 3280], (96, 96)),
+                ((0, 1, 2), [787234, 787951, 19501, 19501], (95, 97)),
+                ((1, 1, 2), [787234, 787951, 19501, 12516], (97, 97)),
+            ]
+        );
+        assert_eq!(
+            report.store_stats,
+            ChunkStats {
+                probes: 386,
+                hits: 288,
+                misses: 98,
+                hit_bytes: 2351906,
+                miss_bytes: 795426,
+                admitted: 98,
+                evicted: 0,
+            }
+        );
+    }
+
+    #[test]
     fn study_is_deterministic() {
         let world = NorthAmerica::new();
         let a = run_sync_study(&world, tiny());

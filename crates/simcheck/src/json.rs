@@ -10,8 +10,57 @@
 //! * **deterministic output** — object keys render in insertion order and
 //!   floats render via Rust's shortest-roundtrip formatting, so the same
 //!   spec always serializes to the same bytes.
+//!
+//! Parsing is recursive descent over input that may come from a file
+//! (`detour check --replay`), so nesting is capped at [`MAX_DEPTH`]: deeper
+//! input is a [`JsonError::TooDeep`], not a stack overflow.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. Scenario
+/// specs and verdicts nest a few levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`Json::parse`] rejected its input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// The input ended inside a value.
+    UnexpectedEnd,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`]; `at` is the byte
+    /// offset of the first bracket past the limit.
+    TooDeep {
+        /// Byte offset of the offending `[` or `{`.
+        at: usize,
+    },
+    /// Any other malformed input, described.
+    Syntax(String),
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::UnexpectedEnd => write!(f, "unexpected end of input"),
+            JsonError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+            JsonError::Syntax(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(msg: String) -> Self {
+        JsonError::Syntax(msg)
+    }
+}
+
+impl From<&str> for JsonError {
+    fn from(msg: &str) -> Self {
+        JsonError::Syntax(msg.into())
+    }
+}
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,14 +196,18 @@ impl Json {
     }
 
     /// Parse a JSON document.
-    pub fn parse(s: &str) -> Result<Json, String> {
+    pub fn parse(s: &str) -> Result<Json, JsonError> {
         let bytes = s.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
         if p.pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
+            return Err(format!("trailing garbage at byte {}", p.pos).into());
         }
         Ok(v)
     }
@@ -163,6 +216,13 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
+}
+
+/// A byte the parser did not expect, for error messages.
+fn found(b: u8) -> String {
+    format!("{:?}", b as char)
 }
 
 impl<'a> Parser<'a> {
@@ -180,44 +240,62 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(c) if c == b => {
+                self.pos += 1;
+                Ok(())
+            }
+            Some(c) => Err(format!(
+                "expected '{}' at byte {}, found {}",
                 b as char,
                 self.pos,
-                self.peek().map(|c| c as char)
-            ))
+                found(c)
+            )
+            .into()),
+            None => Err(JsonError::UnexpectedEnd),
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
+    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
-            Err(format!("bad literal at byte {}", self.pos))
+            Err(format!("bad literal at byte {}", self.pos).into())
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+            Some(c) => Err(format!("unexpected {} at byte {}", found(c), self.pos).into()),
+            None => Err(JsonError::UnexpectedEnd),
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Parse an array or object one level deeper, within [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::TooDeep { at: self.pos });
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -240,22 +318,22 @@ impl<'a> Parser<'a> {
         }
         text.parse::<f64>()
             .map(Json::Num)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
+            .map_err(|e| format!("bad number {text:?}: {e}").into())
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(JsonError::UnexpectedEnd),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
+                    let esc = self.peek().ok_or(JsonError::UnexpectedEnd)?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -268,7 +346,7 @@ impl<'a> Parser<'a> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             if self.pos + 4 > self.bytes.len() {
-                                return Err("truncated \\u escape".into());
+                                return Err(JsonError::UnexpectedEnd);
                             }
                             let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
                                 .map_err(|_| "bad \\u escape")?;
@@ -277,7 +355,7 @@ impl<'a> Parser<'a> {
                             self.pos += 4;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
-                        other => return Err(format!("bad escape \\{}", other as char)),
+                        other => return Err(format!("bad escape \\{}", other as char).into()),
                     }
                 }
                 Some(_) => {
@@ -292,7 +370,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -311,12 +389,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
+                Some(c) => return Err(format!("expected ',' or ']', found {}", found(c)).into()),
+                None => return Err(JsonError::UnexpectedEnd),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -340,7 +419,8 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Json::Obj(fields));
                 }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
+                Some(c) => return Err(format!("expected ',' or '}}', found {}", found(c)).into()),
+                None => return Err(JsonError::UnexpectedEnd),
             }
         }
     }
@@ -390,6 +470,52 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn truncated_input_is_an_unexpected_end() {
+        for text in [
+            "",
+            "{",
+            "{\"seed\"",
+            "{\"seed\":",
+            "[1,",
+            "[1",
+            "\"abc",
+            "\"\\",
+            "\"\\u12",
+        ] {
+            assert_eq!(Json::parse(text), Err(JsonError::UnexpectedEnd), "{text:?}");
+        }
+        assert_eq!(
+            JsonError::UnexpectedEnd.to_string(),
+            "unexpected end of input"
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&ok).is_ok());
+        let deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert_eq!(
+            Json::parse(&deep),
+            Err(JsonError::TooDeep { at: MAX_DEPTH })
+        );
+        // Far past the limit, and objects too: an error, not a stack
+        // overflow.
+        let hostile = "[".repeat(200_000);
+        assert_eq!(
+            Json::parse(&hostile),
+            Err(JsonError::TooDeep { at: MAX_DEPTH })
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "{";
+        assert_eq!(
+            Json::parse(&objects),
+            Err(JsonError::TooDeep {
+                at: objects.len() - 1
+            })
+        );
     }
 
     #[test]

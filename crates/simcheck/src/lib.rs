@@ -39,7 +39,7 @@ pub mod runner;
 pub mod scenario;
 pub mod shrink;
 
-pub use json::Json;
+pub use json::{Json, JsonError};
 pub use oracle::{Axis, OracleHandle, Violation};
 pub use runner::{
     check_case, check_case_at, run_once, run_sharded, CaseResult, RunOptions, RunOutcome,

@@ -558,11 +558,18 @@ impl SyncSession {
                 target,
             },
             None => {
-                let sig = Signature::compute(basis, SYNC_BLOCK_SIZE);
-                let delta = compute_delta(&sig, &target);
+                // A chain-only oracle verifies nothing on landing, so its
+                // legs are only priced: no owned delta, no whole-file digest.
+                let (plan, delta) = if self.oracle.checks() {
+                    let sig = Signature::compute(basis, SYNC_BLOCK_SIZE);
+                    let delta = compute_delta(&sig, &target);
+                    (RsyncWirePlan::from_parts(&sig, &delta), Some(delta))
+                } else {
+                    (RsyncWirePlan::exact(basis, &target, SYNC_BLOCK_SIZE), None)
+                };
                 PendingLeg {
-                    plan: RsyncWirePlan::from_parts(&sig, &delta),
-                    delta: self.oracle.checks().then_some(delta),
+                    plan,
+                    delta,
                     manifest: (self.store.as_ref())
                         .map(|_| ChunkManifest::of(&target, SYNC_CHUNK_SIZE)),
                     target,

@@ -711,7 +711,7 @@ impl ScenarioSpec {
 
     /// Parse a spec previously produced by [`Self::to_json`].
     pub fn from_json(text: &str) -> Result<ScenarioSpec, String> {
-        let v = Json::parse(text)?;
+        let v = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json_value(&v)
     }
 

@@ -5,6 +5,14 @@
 //! then the strong checksum) matches a basis block, emit a [`DeltaOp::Copy`]
 //! and jump the window past it; bytes that never match accumulate into
 //! [`DeltaOp::Literal`] runs.
+//!
+//! One scan serves two callers. [`compute_delta`] turns its pieces into an
+//! owned [`Delta`] and attaches the whole-file [`md5::file_digest`] the
+//! receiver verifies. [`RsyncWirePlan::exact`] only prices them: a wire
+//! plan never applies its delta, so it copies no literal run and hashes no
+//! whole target.
+//!
+//! [`RsyncWirePlan::exact`]: crate::RsyncWirePlan::exact
 
 use crate::md5::{self, LANES};
 use crate::rolling::RollingChecksum;
@@ -29,8 +37,10 @@ pub struct Delta {
     pub ops: Vec<DeltaOp>,
     /// Length of the target file (sanity check at patch time).
     pub target_len: u64,
-    /// Whole-file strong checksum of the target (verified after patching).
-    pub target_md5: [u8; 16],
+    /// Whole-file check of the target, verified after patching:
+    /// [`md5::file_digest`], MD5 over the target's 2 KiB chunk digests.
+    /// Sixteen bytes on the wire, as a one-shot MD5 would be.
+    pub target_digest: [u8; 16],
 }
 
 impl Delta {
@@ -53,35 +63,71 @@ impl Delta {
             .count()
     }
 
-    /// Bytes this delta occupies on the wire: literals cost their length
-    /// plus a 5-byte op header; copies cost 5 bytes; plus a 40-byte trailer
-    /// (length + MD5 + framing).
+    /// Bytes this delta occupies on the wire: a 5-byte header per op, the
+    /// literal payload, and a 40-byte trailer.
     pub fn wire_bytes(&self) -> u64 {
-        let ops: u64 = self
-            .ops
-            .iter()
-            .map(|op| match op {
-                DeltaOp::Literal(v) => 5 + v.len() as u64,
-                DeltaOp::Copy { .. } => 5,
-            })
-            .sum();
-        ops + 40
+        wire_cost(self.ops.len(), self.literal_bytes())
     }
+}
+
+/// Wire bytes of a delta of `ops` ops carrying `literal_bytes` of literal
+/// payload: a 5-byte header per op (copies are header only), the payload,
+/// and a 40-byte trailer (length + digest + framing).
+pub(crate) fn wire_cost(ops: usize, literal_bytes: u64) -> u64 {
+    ops as u64 * 5 + literal_bytes + 40
+}
+
+/// One op of a delta as the scan finds it, borrowing the target.
+#[derive(Debug, Clone, Copy)]
+enum Piece<'a> {
+    /// Copy basis block `index`.
+    Copy(u32),
+    /// An unmatched run of the target.
+    Literal(&'a [u8]),
 }
 
 /// Compute the delta from `basis` (described by `sig`) to `target`.
 pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
+    let ops = scan(sig, target)
+        .into_iter()
+        .map(|piece| match piece {
+            Piece::Copy(index) => DeltaOp::Copy { index },
+            Piece::Literal(run) => DeltaOp::Literal(run.to_vec()),
+        })
+        .collect();
+    Delta {
+        ops,
+        target_len: target.len() as u64,
+        target_digest: md5::file_digest(target),
+    }
+}
+
+/// `compute_delta(sig, target).wire_bytes()`, from the same scan but
+/// without the owned ops or the whole-file digest.
+pub(crate) fn wire_bytes(sig: &Signature, target: &[u8]) -> u64 {
+    let pieces = scan(sig, target);
+    let literal_bytes = (pieces.iter())
+        .map(|piece| match piece {
+            Piece::Copy(_) => 0,
+            Piece::Literal(run) => run.len() as u64,
+        })
+        .sum();
+    wire_cost(pieces.len(), literal_bytes)
+}
+
+/// The rolling scan of `target` against `sig`: the delta's ops in order.
+fn scan<'a>(sig: &Signature, target: &'a [u8]) -> Vec<Piece<'a>> {
     let bs = sig.block_size;
-    let mut ops: Vec<DeltaOp> = Vec::new();
+    let mut ops = Vec::new();
     // Unmatched bytes always form one contiguous run of the target,
-    // `target[literal_start..pos]`; it is copied out only when a copy op or
-    // the end of the target closes it.
+    // `target[literal_start..pos]`; a copy op or the end of the target
+    // closes it.
     let mut literal_start = 0usize;
     let mut pos = 0usize;
 
-    let flush = |run: &[u8], ops: &mut Vec<DeltaOp>| {
+    let flush = |run: &'a [u8], ops: &mut Vec<Piece<'a>>| {
         if !run.is_empty() {
-            ops.push(DeltaOp::Literal(run.to_vec()));
+            ops.push(Piece::Literal(run));
         }
     };
 
@@ -115,7 +161,7 @@ pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
                     .and_then(|s| sig.strong_match(run[k].value(), bs, s))
                 {
                     flush(&target[literal_start..pos], &mut ops);
-                    ops.push(DeltaOp::Copy { index: idx });
+                    ops.push(Piece::Copy(idx));
                     pos += bs;
                     literal_start = pos;
                     k += 1;
@@ -151,7 +197,7 @@ pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
                 .map(|b| b.index);
             if let Some(idx) = tail_match {
                 flush(&target[literal_start..pos], &mut ops);
-                ops.push(DeltaOp::Copy { index: idx });
+                ops.push(Piece::Copy(idx));
                 literal_start = target.len();
             }
         }
@@ -159,12 +205,7 @@ pub fn compute_delta(sig: &Signature, target: &[u8]) -> Delta {
     // Whatever is left unmatched is literal; with an empty basis that is the
     // whole target (the paper's benchmark case).
     flush(&target[literal_start..], &mut ops);
-
-    Delta {
-        ops,
-        target_len: target.len() as u64,
-        target_md5: md5::Md5::digest(target),
-    }
+    ops
 }
 
 #[cfg(test)]
@@ -325,7 +366,8 @@ mod tests {
         // Windows 0-3 are one lane group; after the forged window the run at
         // 3*BS has five windows: one more lane group and one window hashed
         // on its own. Lane-hashed windows are not one-shot digests, so the
-        // counter sees that window and the whole-target digest.
+        // counter sees that window and the file digest's single chunk (the
+        // 512-byte target is shorter than one 2 KiB tree chunk).
         assert_eq!(Md5::digest_invocations() - before, 2);
         let mut want = copies([0, 1]);
         want.push(DeltaOp::Literal(forged));
@@ -389,11 +431,9 @@ mod tests {
             let mut target = g.similar_file(&basis, seed as usize % 6, seed as usize * 13);
             target.splice(0..0, vec![0xEE; seed as usize % 5]);
             let sig = Signature::compute(&basis, bs);
-            assert_eq!(
-                compute_delta(&sig, &target).ops,
-                byte_wise_ops(&sig, &target),
-                "seed {seed}"
-            );
+            let delta = compute_delta(&sig, &target);
+            assert_eq!(delta.ops, byte_wise_ops(&sig, &target), "seed {seed}");
+            assert_eq!(wire_bytes(&sig, &target), delta.wire_bytes(), "seed {seed}");
         }
     }
 

@@ -9,7 +9,9 @@
 //! * [`filegen`] — deterministic `dd`-style random file generation, plus a
 //!   mutator for producing "similar" files (delta-transfer tests).
 //! * [`md5`] — the MD5 digest (RFC 1321), rsync's strong block checksum,
-//!   implemented from scratch and checked against the RFC test vectors.
+//!   implemented from scratch and checked against the RFC test vectors,
+//!   plus the 2 KiB chunk-tree [`md5::file_digest`] every delta carries as
+//!   its whole-file check.
 //! * [`rolling`] — rsync's 32-bit rolling checksum with O(1) window slide.
 //! * [`signature`] / [`delta`] / [`patch`] — the full rsync round trip:
 //!   block signatures of the basis file, delta computation against a rolling

@@ -9,6 +9,12 @@
 //! chain. [`digest_chunks`] hashes many equal-length messages (rsync
 //! signature blocks, chunk-manifest chunks, runs of delta windows) four
 //! side by side, which the vector units take in one pass.
+//!
+//! The whole-file check that closes every rsync delta is [`file_digest`]:
+//! MD5 over the digests of the file's [`FILE_DIGEST_CHUNK`]-byte chunks, a
+//! two-level hash tree in the style of Dropbox's content hash (a hash of
+//! per-block hashes). The chunks are hashed four lanes at a time, so the
+//! check runs at the lane speed instead of the one-message speed.
 
 /// Binary integer parts of the sines of integers: floor(2^32 * |sin(i+1)|).
 const K: [u32; 64] = [
@@ -161,17 +167,42 @@ fn digest_bytes(state: [u32; 4]) -> [u8; 16] {
 /// one-message speed; the chunks after the last such run, the short final
 /// chunk among them, go through [`Md5::digest`].
 pub fn digest_chunks(data: &[u8], chunk_size: usize) -> Vec<[u8; 16]> {
+    let mut out = Vec::with_capacity(data.len().div_ceil(chunk_size.max(1)));
+    for_each_chunk_digest(data, chunk_size, |d| out.push(d));
+    out
+}
+
+/// Chunk size of [`file_digest`]'s tree. The checked deltas are mostly
+/// 4–32 KiB sync legs: 2 KiB chunks fill a lane group from 8 KiB up,
+/// where 8 KiB chunks would leave anything under 32 KiB to the
+/// one-message path.
+pub const FILE_DIGEST_CHUNK: usize = 2048;
+
+/// The whole-file digest rsync deltas carry: MD5 over the concatenated
+/// digests of `data.chunks(FILE_DIGEST_CHUNK)` (as [`digest_chunks`]
+/// returns them). Sixteen bytes, like a one-shot MD5, but hashed in lanes.
+/// The tree is order-sensitive: swapping two equal-length chunks changes
+/// it. An empty file has no chunks and digests as the empty message.
+pub fn file_digest(data: &[u8]) -> [u8; 16] {
+    let mut tree = Md5::new();
+    for_each_chunk_digest(data, FILE_DIGEST_CHUNK, |d| tree.update(&d));
+    tree.finalize()
+}
+
+/// Hand the digests of `data.chunks(chunk_size)` to `sink` in order: whole
+/// lane groups side by side, the rest one at a time.
+fn for_each_chunk_digest(data: &[u8], chunk_size: usize, mut sink: impl FnMut([u8; 16])) {
     assert!(chunk_size > 0, "chunk size must be positive");
-    let mut out = Vec::with_capacity(data.len().div_ceil(chunk_size));
     let groups = data.chunks_exact(chunk_size.saturating_mul(LANES));
     let rest = groups.remainder();
     for group in groups {
-        out.extend(digest_lanes(std::array::from_fn(|l| {
+        digest_lanes(std::array::from_fn(|l| {
             &group[l * chunk_size..(l + 1) * chunk_size]
-        })));
+        }))
+        .into_iter()
+        .for_each(&mut sink);
     }
-    out.extend(rest.chunks(chunk_size).map(Md5::digest));
-    out
+    rest.chunks(chunk_size).map(Md5::digest).for_each(sink);
 }
 
 /// The digests of [`LANES`] messages of one length, hashed side by side.
@@ -462,6 +493,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn file_digest_is_md5_over_one_shot_chunk_digests() {
+        // Zero to nine full chunks (short of a lane group, whole groups,
+        // groups with leftovers), each with every tail shape.
+        use crate::filegen::FileGen;
+        const C: usize = FILE_DIGEST_CHUNK;
+        let data = FileGen::new(17).random_file(10 * C);
+        for full in 0..10 {
+            for tail in [0, 1, 55, 56, 64, C / 2, C - 1] {
+                let file = &data[..full * C + tail];
+                let leaves: Vec<u8> = file.chunks(C).flat_map(Md5::digest).collect();
+                assert_eq!(
+                    file_digest(file),
+                    Md5::digest(&leaves),
+                    "{full} full chunks, tail {tail}"
+                );
+            }
+        }
+        assert_eq!(file_digest(&[]), Md5::digest(&[]));
     }
 
     #[test]

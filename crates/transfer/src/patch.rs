@@ -1,7 +1,7 @@
 //! Patch application: the receiver reconstructs the target file.
 
 use crate::delta::{Delta, DeltaOp};
-use crate::md5::Md5;
+use crate::md5;
 use std::fmt;
 
 /// Errors during patch application.
@@ -41,11 +41,17 @@ impl fmt::Display for PatchError {
 
 impl std::error::Error for PatchError {}
 
-/// Apply a delta to the basis file, verifying length and checksum.
+/// Apply a delta to the basis file, verifying its length and its
+/// [`md5::file_digest`].
 pub fn apply_delta(basis: &[u8], block_size: usize, delta: &Delta) -> Result<Vec<u8>, PatchError> {
     assert!(block_size > 0, "block size must be positive");
     let n_blocks = basis.len().div_ceil(block_size) as u32;
-    let mut out = Vec::with_capacity(delta.target_len as usize);
+    // The declared length comes off the wire: preallocate no more than the
+    // ops can produce, and let the length check below reject the rest.
+    let producible = (delta.copy_count() as u64)
+        .saturating_mul(block_size as u64)
+        .saturating_add(delta.literal_bytes());
+    let mut out = Vec::with_capacity(delta.target_len.min(producible) as usize);
     for op in &delta.ops {
         match op {
             DeltaOp::Copy { index } => {
@@ -68,7 +74,7 @@ pub fn apply_delta(basis: &[u8], block_size: usize, delta: &Delta) -> Result<Vec
             actual: out.len() as u64,
         });
     }
-    if Md5::digest(&out) != delta.target_md5 {
+    if md5::file_digest(&out) != delta.target_digest {
         return Err(PatchError::ChecksumMismatch);
     }
     Ok(out)
@@ -131,7 +137,7 @@ mod tests {
         let delta = Delta {
             ops: vec![crate::delta::DeltaOp::Copy { index: 99 }],
             target_len: 2048,
-            target_md5: [0; 16],
+            target_digest: [0; 16],
         };
         let err = apply_delta(&basis, 2048, &delta).unwrap_err();
         assert_eq!(
@@ -153,6 +159,69 @@ mod tests {
         }
         let err = apply_delta(&[], 2048, &delta).unwrap_err();
         assert_eq!(err, PatchError::ChecksumMismatch);
+    }
+
+    #[test]
+    fn flipped_byte_in_a_copied_block_caught_by_checksum() {
+        // The basis differs from the target in one byte of a block the
+        // delta copies, so the patched output is corrupt.
+        let g = FileGen::new(9);
+        let target = g.random_file(5 * 2048 + 300);
+        let sig = Signature::compute(&target, 2048);
+        let delta = compute_delta(&sig, &target);
+        let mut basis = target.clone();
+        basis[3 * 2048 + 11] ^= 0x01;
+        let err = apply_delta(&basis, 2048, &delta).unwrap_err();
+        assert_eq!(err, PatchError::ChecksumMismatch);
+    }
+
+    #[test]
+    fn swapped_equal_length_chunks_caught_by_checksum() {
+        // Two whole 2 KiB tree chunks trade places: every chunk digest is
+        // still one of the target's, only their order differs.
+        const C: usize = md5::FILE_DIGEST_CHUNK;
+        let target = FileGen::new(10).random_file(6 * C);
+        let mut delta = compute_delta(&Signature::empty(C), &target);
+        let DeltaOp::Literal(v) = &mut delta.ops[0] else {
+            panic!("an empty basis makes the whole target one literal");
+        };
+        let (first, rest) = v.split_at_mut(2 * C);
+        first[C..].swap_with_slice(&mut rest[2 * C..3 * C]);
+        let err = apply_delta(&[], C, &delta).unwrap_err();
+        assert_eq!(err, PatchError::ChecksumMismatch);
+    }
+
+    #[test]
+    fn absurd_declared_length_is_an_error_not_a_panic() {
+        // Three literal bytes, declared as u64::MAX: preallocating the
+        // declared length would abort with a capacity overflow.
+        let delta = Delta {
+            ops: vec![DeltaOp::Literal(vec![1, 2, 3])],
+            target_len: u64::MAX,
+            target_digest: md5::file_digest(&[1, 2, 3]),
+        };
+        assert_eq!(
+            apply_delta(&[], 2048, &delta).unwrap_err(),
+            PatchError::LengthMismatch {
+                expected: u64::MAX,
+                actual: 3
+            }
+        );
+    }
+
+    #[test]
+    fn declared_length_one_past_the_output_is_rejected() {
+        let target = FileGen::new(11).random_file(3000);
+        let sig = Signature::compute(&target, 2048);
+        let mut delta = compute_delta(&sig, &target);
+        delta.target_len = 3001;
+        assert_eq!(
+            apply_delta(&target, 2048, &delta).unwrap_err(),
+            PatchError::LengthMismatch {
+                expected: 3001,
+                actual: 3000
+            }
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   provided as the baseline alternative the paper mentions ("rsync ... can
 //!   be replaced with a different file-transfer tool").
 
-use crate::delta::{compute_delta, Delta};
+use crate::delta::{self, wire_cost, Delta};
 use crate::signature::Signature;
 
 /// rsync protocol constants (framing approximations).
@@ -33,19 +33,27 @@ pub struct RsyncWirePlan {
 
 impl RsyncWirePlan {
     /// Exact plan for a concrete (basis, target) pair: runs the real
-    /// signature + delta algorithms and counts bytes.
+    /// signature and the delta scan and counts bytes. The plan never
+    /// applies its delta, so the scan's ops are only priced: no literal run
+    /// is copied and no whole-file digest computed (its 16 bytes are still
+    /// in the 40-byte trailer). Equal to `from_parts` over
+    /// [`compute_delta`](crate::compute_delta)'s delta.
     pub fn exact(basis: &[u8], target: &[u8], block_size: usize) -> Self {
         let sig = Signature::compute(basis, block_size);
-        Self::from_parts(&sig, &compute_delta(&sig, target))
+        Self::priced(&sig, delta::wire_bytes(&sig, target))
     }
 
     /// Plan for a signature and delta the caller already computed, so a
     /// caller that also applies the delta runs rsync only once.
     pub fn from_parts(sig: &Signature, delta: &Delta) -> Self {
+        Self::priced(sig, delta.wire_bytes())
+    }
+
+    fn priced(sig: &Signature, delta_bytes: u64) -> Self {
         RsyncWirePlan {
             handshake_bytes: HANDSHAKE_BYTES,
             signature_bytes: sig.wire_bytes(),
-            delta_bytes: delta.wire_bytes(),
+            delta_bytes,
             ack_bytes: ACK_BYTES,
         }
     }
@@ -55,15 +63,10 @@ impl RsyncWirePlan {
     /// the full file (or no ops at all when the target is itself empty — an
     /// empty delta is just the 40-byte trailer, with no literal framing).
     pub fn fresh(target_len: u64) -> Self {
-        let delta_bytes = if target_len == 0 {
-            40
-        } else {
-            target_len + 5 + 40
-        };
         RsyncWirePlan {
             handshake_bytes: HANDSHAKE_BYTES,
             signature_bytes: 32, // empty signature header
-            delta_bytes,
+            delta_bytes: wire_cost(usize::from(target_len > 0), target_len),
             ack_bytes: ACK_BYTES,
         }
     }

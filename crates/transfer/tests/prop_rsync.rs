@@ -146,7 +146,7 @@ proptest! {
         let sig = Signature::compute(&basis, block_size);
         let delta = compute_delta(&sig, &target);
         let rebuilt = apply_delta(&basis, block_size, &delta).unwrap();
-        prop_assert_eq!(Md5::digest(&rebuilt), delta.target_md5);
+        prop_assert_eq!(md5::file_digest(&rebuilt), delta.target_digest);
         prop_assert_eq!(rebuilt, target);
     }
 
@@ -187,7 +187,7 @@ proptest! {
         let sig = Signature::compute(&basis, block_size);
         let delta = compute_delta(&sig, &target);
         let rebuilt = apply_delta(&basis, block_size, &delta).unwrap();
-        prop_assert_eq!(Md5::digest(&rebuilt), delta.target_md5);
+        prop_assert_eq!(md5::file_digest(&rebuilt), delta.target_digest);
         prop_assert_eq!(rebuilt, target);
         prop_assert!(
             delta.literal_bytes() <= (append + block_size) as u64,
@@ -215,7 +215,7 @@ proptest! {
         let sig = Signature::compute(&basis, block_size);
         let delta = compute_delta(&sig, &target);
         let rebuilt = apply_delta(&basis, block_size, &delta).unwrap();
-        prop_assert_eq!(Md5::digest(&rebuilt), delta.target_md5);
+        prop_assert_eq!(md5::file_digest(&rebuilt), delta.target_digest);
         prop_assert_eq!(rebuilt, target);
     }
 
@@ -241,7 +241,7 @@ proptest! {
     /// Arbitrary mutation histories (edit/append/rewrite/truncate/churn
     /// sequences) driven through the same `mutate` the sync populations use:
     /// every step's signature → delta → patch round trip is the identity,
-    /// `target_md5` matches the reconstruction, and the exact wire plan's
+    /// `target_digest` matches the reconstruction, and the exact wire plan's
     /// byte accounting agrees with an independent recount of the op list.
     #[test]
     fn round_trip_mutation_history(
@@ -256,7 +256,7 @@ proptest! {
             let sig = Signature::compute(&basis, block_size);
             let delta = compute_delta(&sig, &target);
             let rebuilt = apply_delta(&basis, block_size, &delta).unwrap();
-            prop_assert_eq!(Md5::digest(&rebuilt), delta.target_md5);
+            prop_assert_eq!(md5::file_digest(&rebuilt), delta.target_digest);
             prop_assert_eq!(&rebuilt, &target);
             let plan = RsyncWirePlan::exact(&basis, &target, block_size);
             prop_assert_eq!(RsyncWirePlan::from_parts(&sig, &delta), plan);
@@ -294,7 +294,7 @@ proptest! {
                 let sig = Signature::compute(&c.basis, block_size);
                 let delta = compute_delta(&sig, target);
                 let rebuilt = apply_delta(&c.basis, block_size, &delta).unwrap();
-                prop_assert_eq!(Md5::digest(&rebuilt), delta.target_md5);
+                prop_assert_eq!(md5::file_digest(&rebuilt), delta.target_digest);
                 prop_assert_eq!(&rebuilt[..], target);
                 let plan = RsyncWirePlan::exact(&c.basis, target, block_size);
                 prop_assert_eq!(plan.delta_bytes, expected_delta_wire_bytes(&delta.ops));

@@ -187,6 +187,31 @@ fn check_emits_json_verdict_and_replays() {
 }
 
 #[test]
+fn hostile_replay_specs_exit_1_not_abort() {
+    let dir = std::env::temp_dir().join("detour-check-cli-hostile");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("spec.json");
+    let replay = |text: &str| {
+        std::fs::write(&path, text).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_detour"))
+            .args(["check", "--replay", path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    // Deep nesting is a parse error, not a stack overflow (exit 134).
+    let (code, err) = replay(&"[".repeat(200_000));
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("nesting deeper than"), "{err}");
+    let (code, err) = replay("{\"seed\":");
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("unexpected end of input"), "{err}");
+}
+
+#[test]
 fn bad_flags_fail_cleanly() {
     for args in [
         &[
